@@ -3,10 +3,10 @@
 //! candidate enumeration, the synthetic-catalog group comparing the old
 //! O(n²) all-pairs Pareto scan against the O(n log n) sort-and-sweep
 //! skyline at 10³/10⁴/10⁵ candidates, and — since the compile/execute
-//! split — the `plan_reuse` group: one cold fused pass vs. a session
+//! split — the `plan_reuse` group: one cold pass vs. a session
 //! plan-cache hit vs. an 8-plan shared-pass batch — plus the
-//! `stream_shards` group pitting the sharded streaming executor against
-//! the materializing pass at 10⁵/10⁶ candidates, and the `two_tier`
+//! `stream_shards` group pitting the frontier-only collector against
+//! the keep-all one at 10⁵/10⁶ candidates, and the `two_tier`
 //! group measuring the simulation tier's overhead against the analytic
 //! pass alone (tier-2 cost scales with the survivor budget, not the
 //! candidate count). Representative numbers are recorded in
@@ -258,13 +258,13 @@ fn bench_delta_repair(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded streaming executor vs the materializing fused pass: the
-/// same 4-objective single-airframe query under `KeepPoints::All` and
+/// The frontier-only collector vs the keep-all one: the same
+/// 4-objective single-airframe query under `KeepPoints::All` and
 /// `KeepPoints::FrontierOnly` at 10⁵ and 10⁶ candidates. The frontier,
 /// top-k ranking and accounting are bit-identical between the arms, so
-/// the delta is pure executor cost: per-candidate ns for the streamed
-/// pass must stay at or below the materializing pass, while its peak
-/// memory is O(shard + frontier + k) instead of O(candidates).
+/// the delta is pure collector cost: per-candidate ns for the streamed
+/// lane must stay at or below the keep-all lane, while its peak memory
+/// is O(shard + frontier + k) instead of O(candidates).
 fn bench_stream_shards(c: &mut Criterion) {
     let mut g = c.benchmark_group("dse_stream_shards");
     for (label, n_per_family) in [("1e5", 47usize), ("1e6", 100)] {

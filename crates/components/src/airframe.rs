@@ -4,7 +4,6 @@ use f1_model::physics::{BodyDynamics, PitchPolicy};
 use f1_model::ModelError;
 use f1_units::GramForce;
 use f1_units::{Grams, Hertz, Kilograms, Millimeters, Newtons};
-use serde::{Deserialize, Serialize};
 
 use crate::{ComponentError, SizeClass};
 
@@ -31,7 +30,7 @@ use crate::{ComponentError, SizeClass};
 /// assert!(dynamics.can_hover());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Airframe {
     name: String,
     size_class: SizeClass,

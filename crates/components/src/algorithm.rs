@@ -1,11 +1,9 @@
 //! Autonomy algorithm records: paradigm and pipeline structure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ComponentError;
 
 /// The two autonomy paradigms of paper §II-E.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Paradigm {
     /// "Sense-Plan-Act": distinct mapping, planning and control stages.
     SensePlanAct,
@@ -29,7 +27,7 @@ impl core::fmt::Display for Paradigm {
 /// Used by the §VII Navion study: replacing only the SLAM stage with a
 /// 172 FPS accelerator leaves the mapping/planning stages dominating the
 /// 810 ms end-to-end latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpaStage {
     /// Stage name (e.g. "SLAM", "OctoMap", "path planner").
     pub name: String,
@@ -54,7 +52,7 @@ pub struct SpaStage {
 /// assert!(dronet.stages().is_empty());
 /// # Ok::<(), f1_components::ComponentError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutonomyAlgorithm {
     name: String,
     paradigm: Paradigm,

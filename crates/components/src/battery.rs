@@ -1,7 +1,6 @@
 //! Battery records.
 
 use f1_units::{Grams, MilliampHours};
-use serde::{Deserialize, Serialize};
 
 use crate::ComponentError;
 
@@ -18,7 +17,7 @@ use crate::ComponentError;
 /// assert!((b.energy_watt_hours() - 55.5).abs() < 1e-9);
 /// # Ok::<(), f1_components::ComponentError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     name: String,
     capacity: MilliampHours,

@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use f1_units::{Grams, Hertz, Meters, MilliampHours, Millimeters, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     Airframe, AirframeId, AlgorithmId, AutonomyAlgorithm, Battery, BatteryId, ComponentError,
@@ -83,7 +82,7 @@ pub mod names {
 }
 
 /// One of the four §IV validation drones (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationUav {
     /// The drone's label, `'A'`–`'D'`.
     pub label: char,
@@ -106,7 +105,7 @@ pub struct ValidationUav {
 /// Pelican")`) resolve through the map once; hot paths hold typed ids
 /// ([`AirframeId`], [`SensorId`], [`ComputeId`], [`AlgorithmId`],
 /// [`BatteryId`]) and resolve them with a plain array index.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     airframes: Registry<Airframe>,
     sensors: Registry<Sensor>,
@@ -119,12 +118,11 @@ pub struct Catalog {
 /// Dense storage for one component family: items in insertion (= id)
 /// order plus a name → id index.
 ///
-/// NOTE: the serde derives are inert markers today (`crates/ext/serde`).
-/// Before swapping in real serde, give this a logical representation
-/// (`#[serde(from/into)]` a name → item map) so the dense layout stays an
-/// in-memory detail and deserialization cannot smuggle in out-of-range
-/// ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// NOTE: no serialization derives on purpose. A future serde adoption
+/// should give this a logical representation (a name → item map) so the
+/// dense layout stays an in-memory detail and deserialization cannot
+/// smuggle in out-of-range ids.
+#[derive(Debug, Clone)]
 struct Registry<T> {
     items: Vec<T>,
     ids: BTreeMap<String, u32>,

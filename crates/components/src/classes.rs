@@ -7,10 +7,9 @@
 //! mini-UAVs).
 
 use f1_units::{Grams, MilliampHours, Millimeters, Minutes};
-use serde::{Deserialize, Serialize};
 
 /// The UAV size classes of paper Fig. 2b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SizeClass {
     /// ~7 mm-class frames, 240 mAh, ~7 min endurance (e.g. CrazyFlie).
     Nano,

@@ -1,12 +1,11 @@
 //! Onboard compute platform records: kind, mass, TDP.
 
 use f1_units::{Grams, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::ComponentError;
 
 /// The class of an onboard computing platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ComputeKind {
     /// A bare microcontroller (e.g. Arm Cortex-M4 on a nano-UAV).
@@ -54,7 +53,7 @@ impl core::fmt::Display for ComputeKind {
 /// assert_eq!(agx.tdp(), Watts::new(30.0));
 /// # Ok::<(), f1_components::ComponentError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePlatform {
     name: String,
     kind: ComputeKind,

@@ -1,9 +1,10 @@
 //! A minimal strict-JSON reader/writer shared by the wire formats.
 //!
-//! The workspace's serde is an inert offline stub, so the delta wire
-//! format ([`CatalogDelta::from_json`](crate::CatalogDelta::from_json))
-//! and the durable-store record formats (`f1-store`) share this
-//! hand-rolled reader instead. It is deliberately strict: duplicate
+//! The workspace has no serde, so the delta wire format
+//! ([`CatalogDelta::from_json`](crate::CatalogDelta::from_json)), the
+//! durable-store record formats (`f1-store`) and the result and
+//! protocol bodies of `f1-skyline` / `f1-serve` share this hand-rolled
+//! reader/writer. It is deliberately strict: duplicate
 //! object keys, trailing data and non-finite numbers are rejected, so a
 //! document that parses here round-trips byte-for-byte through
 //! [`quote`]/[`fmt_number`].

@@ -1,12 +1,11 @@
 //! Sensor records: modality, frame rate, range and mass.
 
 use f1_units::{Grams, Hertz, Meters};
-use serde::{Deserialize, Serialize};
 
 use crate::ComponentError;
 
 /// The sensing modality of an onboard sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SensorModality {
     /// Monocular RGB camera.
@@ -53,7 +52,7 @@ impl core::fmt::Display for SensorModality {
 /// assert_eq!(cam.frame_rate(), Hertz::new(60.0));
 /// # Ok::<(), f1_components::ComponentError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sensor {
     name: String,
     modality: SensorModality,

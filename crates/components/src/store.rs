@@ -668,8 +668,8 @@ impl CatalogDelta {
     /// `{"max_tilt_rad": α}`). Algorithms are end-to-end unless they
     /// carry a `"stages"` array of `{"name", "latency_share"}` objects,
     /// which makes them Sense-Plan-Act. The parser is a minimal
-    /// strict-JSON reader ([`crate::json`]) — the workspace's serde is
-    /// an inert offline stub.
+    /// strict-JSON reader ([`crate::json`]) — the workspace has no
+    /// serde.
     ///
     /// # Errors
     ///

@@ -36,7 +36,7 @@ impl Catalog {
     /// characterized). The characterized candidate count per airframe is
     /// therefore `n_per_family³`: 22 per family ≈ 10⁴ candidates, 47 per
     /// family ≈ 10⁵, 100 per family = 10⁶, and 216 per family ≈ 1.007 ×
-    /// 10⁷ — the scale the sharded streaming executor
+    /// 10⁷ — the scale the sharded tier-1 executor
     /// (`f1-skyline`'s `shard` module) is sized for, where materializing
     /// every point stops being an option.
     ///

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use f1_units::Hertz;
-use serde::{Deserialize, Serialize};
 
 use crate::{AlgorithmId, ComponentError, ComputeId};
 
@@ -34,12 +33,12 @@ use crate::{AlgorithmId, ComponentError, ComputeId};
 /// # Ok::<(), f1_components::ComponentError>(())
 /// ```
 ///
-/// NOTE: the serde derives are inert markers today (`crates/ext/serde`).
-/// Before swapping in real serde, give this a logical representation
-/// (`#[serde(from/into)]` a `(platform, algorithm, rate)` entry list) so
-/// the interned slots/ragged rows/`entries` counter stay in-memory
-/// details that deserialization cannot desynchronize.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// NOTE: no serialization derives on purpose. A future serde adoption
+/// should give this a logical representation (a `(platform, algorithm,
+/// rate)` entry list) so the interned slots/ragged rows/`entries`
+/// counter stay in-memory details that deserialization cannot
+/// desynchronize.
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputMatrix {
     /// Interned platform names, in first-insertion order.
     platforms: Vec<String>,

@@ -8,13 +8,12 @@
 //! find (e.g. "the SPA pipeline must improve by 39×", §VI-B).
 
 use f1_units::Hertz;
-use serde::{Deserialize, Serialize};
 
 use crate::roofline::Roofline;
 
 /// The multiplicative gap between an achieved action throughput and the
 /// knee.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignGap {
     /// Achieved action throughput.
     pub achieved: Hertz,
@@ -47,7 +46,7 @@ impl core::fmt::Display for DesignGap {
 }
 
 /// Assessment of a design point against the knee (paper Fig. 4b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DesignAssessment {
     /// The action throughput matches the knee within tolerance: a balanced
     /// design.

@@ -8,7 +8,6 @@
 //! `mass = k · TDP^p` through the paper's anchor points.
 
 use f1_units::{Grams, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
 
@@ -27,7 +26,7 @@ use crate::ModelError;
 /// let agx15 = hs.mass_for(Watts::new(15.0));
 /// assert!((agx15.get() - 81.0).abs() < 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeatsinkModel {
     /// Multiplier `k` in grams.
     scale: f64,

@@ -17,7 +17,6 @@
 //! computer shortens missions.
 
 use f1_units::{Kilograms, Meters, MetersPerSecond, Seconds, Watts, STANDARD_GRAVITY};
-use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
 
@@ -38,7 +37,7 @@ pub const AIR_DENSITY: f64 = 1.225;
 /// assert!((cruise.get() - (180.0 + 12.0 + 0.05 * 125.0)).abs() < 1e-9);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     hover_w: f64,
     avionics_w: f64,
@@ -202,7 +201,7 @@ pub fn hover_endurance(
 }
 
 /// Outcome of a mission estimate at one cruise speed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissionEstimate {
     /// Cruise speed used.
     pub cruise: MetersPerSecond,

@@ -19,12 +19,11 @@ use f1_units::{
     Kilograms, Meters, MetersPerSecond, MetersPerSecondSquared, Newtons, Radians, Seconds,
     STANDARD_GRAVITY,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
 
 /// Horizontal and vertical acceleration components from Eq. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelComponents {
     /// Horizontal acceleration `a_x` (along the direction of travel).
     pub horizontal: MetersPerSecondSquared,
@@ -47,7 +46,7 @@ impl AccelComponents {
 }
 
 /// How the pitch angle `α` in Eq. 5 is chosen when estimating `a_max`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum PitchPolicy {
@@ -87,7 +86,7 @@ pub enum PitchPolicy {
 /// assert!(DragModel::none().force(MetersPerSecond::new(100.0)).get() == 0.0);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DragModel {
     /// Drag coefficient in N/(m/s)².
     coefficient: f64,
@@ -207,7 +206,7 @@ impl Default for DragModel {
 /// assert!((a.get() - 0.726).abs() < 0.01);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyDynamics {
     total_mass: Kilograms,
     total_thrust: Newtons,

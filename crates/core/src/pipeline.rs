@@ -14,12 +14,11 @@
 //! ```
 
 use f1_units::{Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::ModelError;
 
 /// One stage of the sensor→compute→control pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// The sensing stage (camera / lidar / RGB-D sampling).
     Sensor,
@@ -62,7 +61,7 @@ impl core::fmt::Display for Stage {
 /// assert!((lat.action_throughput().get() - 60.0).abs() < 1e-9);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageLatencies {
     sensor: Seconds,
     compute: Seconds,
@@ -205,7 +204,7 @@ impl StageLatencies {
 /// assert!((rates.action_throughput().get() - 1.1).abs() < 1e-12);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageRates {
     sensor: Hertz,
     compute: Hertz,

@@ -8,7 +8,6 @@
 //! at or beyond it is physics-bound.
 
 use f1_units::{Hertz, Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{Stage, StageRates};
 use crate::safety::SafetyModel;
@@ -32,7 +31,7 @@ use crate::ModelError;
 /// assert!(Saturation::new(1.0).is_err());
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Saturation(f64);
 
 impl Saturation {
@@ -77,7 +76,7 @@ impl Default for Saturation {
 
 /// The roofline's knee: the minimum action throughput that saturates the
 /// physics roof, and the velocity reached there.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KneePoint {
     /// The knee action throughput `f_k`.
     pub rate: Hertz,
@@ -93,7 +92,7 @@ impl core::fmt::Display for KneePoint {
 
 /// Which UAV subsystem limits the safe velocity at an operating point
 /// (paper Fig. 4a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// The action throughput exceeds the knee; only body dynamics limit
     /// velocity.
@@ -135,7 +134,7 @@ impl core::fmt::Display for Bound {
 }
 
 /// Full bound-and-bottleneck analysis of one operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundAnalysis {
     /// Which subsystem limits the velocity.
     pub bound: Bound,
@@ -179,7 +178,7 @@ impl BoundAnalysis {
 /// assert_eq!(analysis.bound, Bound::Sensor);
 /// # Ok::<(), f1_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     safety: SafetyModel,
     saturation: Saturation,

@@ -30,6 +30,7 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use f1_components::json::{fmt_number, quote};
 use f1_components::EpochSnapshot;
 use f1_skyline::session::{CacheStats, ResultSet};
 use f1_skyline::tier2::SimStats;
@@ -174,36 +175,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Builds a structured error body.
 #[must_use]
 pub fn error_body(kind: ErrorKind, message: &str) -> String {
     format!(
         "{{\"error\": {{\"kind\": {}, \"message\": {}}}}}\n",
-        json_string(kind.as_str()),
-        json_string(message)
+        quote(kind.as_str()),
+        quote(message)
     )
 }
 
@@ -266,7 +244,7 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&json_string(o.label()));
+        out.push_str(&quote(o.label()));
     }
     out.push_str("], \"top\": [");
     let mut emitted = 0usize;
@@ -283,17 +261,15 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
         out.push_str("\n  {\"index\": ");
         out.push_str(&index.to_string());
         out.push_str(", \"airframe\": ");
-        out.push_str(&json_string(catalog.airframe_by_id(point.airframe).name()));
+        out.push_str(&quote(catalog.airframe_by_id(point.airframe).name()));
         out.push_str(", \"sensor\": ");
-        out.push_str(&json_string(
-            catalog.sensor_by_id(point.candidate.sensor).name(),
-        ));
+        out.push_str(&quote(catalog.sensor_by_id(point.candidate.sensor).name()));
         out.push_str(", \"compute\": ");
-        out.push_str(&json_string(
+        out.push_str(&quote(
             catalog.compute_by_id(point.candidate.compute).name(),
         ));
         out.push_str(", \"algorithm\": ");
-        out.push_str(&json_string(
+        out.push_str(&quote(
             catalog.algorithm_by_id(point.candidate.algorithm).name(),
         ));
         out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
@@ -302,7 +278,7 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_number(*v));
+            out.push_str(&fmt_number(*v).unwrap_or_else(|| "null".to_owned()));
         }
         out.push_str("]}");
     }
@@ -574,6 +550,23 @@ mod tests {
         assert!(body.contains("\"kind\": \"plan_key\""));
         assert!(body.contains("\\\"key\\\""));
         assert!(body.ends_with('\n'));
+        // Control characters (short and \u escapes) round-trip through
+        // the strict reader.
+        let message = "line one\nline\ttwo\r\u{1}end";
+        let parsed = f1_components::json::parse(&error_body(ErrorKind::Internal, message)).unwrap();
+        let field = |value: &f1_components::json::Value, key: &str| {
+            let fields = value.as_object().unwrap();
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .unwrap()
+                .1
+                .as_str()
+                .unwrap()
+        };
+        let error = &parsed.as_object().unwrap()[0].1;
+        assert_eq!(field(error, "message"), message);
+        assert_eq!(field(error, "kind"), "internal");
         for kind in [
             ErrorKind::Protocol,
             ErrorKind::PlanKey,

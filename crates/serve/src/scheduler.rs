@@ -47,7 +47,7 @@ pub struct SchedulerConfig {
     /// Most requests one batch may coalesce.
     pub max_batch: usize,
     /// Executor threads draining the queue. Each batch runs on one
-    /// executor (the fused pass is internally parallel); extra
+    /// executor (the sharded pass is internally parallel); extra
     /// executors let independent batches overlap.
     pub executors: usize,
 }
@@ -392,7 +392,7 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
             plans.push(job.plan);
             replies.push(job.reply);
         }
-        // Contain panics from the fused pass: the executor thread must
+        // Contain panics from the pass: the executor thread must
         // outlive any one bad batch. On a panic the replies are dropped,
         // so each waiting connection observes the closed channel and
         // answers a structured `err internal` instead of hanging.

@@ -88,7 +88,7 @@ fn run_shapes_are_bit_identical() {
 
     let via_run = tier2_session(catalog.clone()).run(&plan).expect("run");
 
-    // run_batch, with an unrelated plan sharing the fused pass.
+    // run_batch, with an unrelated plan sharing the pass.
     let batch_session = tier2_session(catalog.clone());
     let other = QueryPlan::builder()
         .objectives(&[Objective::PayloadMass])

@@ -61,7 +61,6 @@ struct Args {
     battery: Option<String>,
     synth: Option<usize>,
     keep_points: Option<KeepPoints>,
-    chunk_size: Option<usize>,
     top_k: Option<usize>,
     json: Option<String>,
     repeat: usize,
@@ -84,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         battery: None,
         synth: None,
         keep_points: None,
-        chunk_size: None,
         top_k: None,
         json: None,
         repeat: 1,
@@ -147,16 +145,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| format!("bad --max-tdp watts {v:?}"))?,
                 );
             }
-            "--chunk-size" => {
-                let v = value("--chunk-size")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --chunk-size count {v:?}"))?;
-                if n == 0 {
-                    return Err("--chunk-size must be at least 1".into());
-                }
-                args.chunk_size = Some(n);
-            }
             "--synth" => {
                 let v = value("--synth")?;
                 let n: usize = v
@@ -182,7 +170,7 @@ fn parse_args() -> Result<Args, String> {
                      usage:\n  skyline --list\n  skyline --dse [--airframe NAME] [--dse-top N]\n\
                      \x20         [--objectives velocity,tdp,payload,energy,endurance]\n\
                      \x20         [--max-tdp WATTS] [--battery NAME] [--synth N_PER_FAMILY]\n\
-                     \x20         [--keep-points auto|all|frontier] [--chunk-size N]\n\
+                     \x20         [--keep-points auto|all|frontier]\n\
                      \x20         [--top-k N] [--json PATH] [--repeat N] [--delta FILE ...]\n\
                      \x20 skyline --airframe NAME --sensor NAME --compute NAME \
                      --algorithm NAME [--chart] [--mission METERS]\n\n\
@@ -193,9 +181,7 @@ fn parse_args() -> Result<Args, String> {
                      for the endurance objective).\n--keep-points: point materialization \
                      — auto (default: stream past ~2M\n  candidates), all (always \
                      materialize), frontier (always stream:\n  frontier + top-k only, \
-                     bounded memory).\n--chunk-size N: pin the parallel \
-                     evaluation chunk size (default: autotuned\n  from the job count and \
-                     core count).\n--top-k N: also print the overall best N builds via \
+                     bounded memory).\n--top-k N: also print the overall best N builds via \
                      the bounded-heap\n  selection (no full ranking sort).\n--json PATH: \
                      export the columnar result set as JSON.\n--repeat N: run the compiled \
                      plan N times through one session to\n  demonstrate plan-cache hits.\n\
@@ -297,10 +283,7 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
     let plan = builder.build().map_err(|e| e.to_string())?;
 
     let store = Arc::new(CatalogStore::from_shared(Arc::clone(catalog)));
-    let mut session = Session::over(Arc::clone(&store));
-    if let Some(chunk_size) = args.chunk_size {
-        session = session.with_chunk_size(chunk_size);
-    }
+    let session = Session::over(Arc::clone(&store));
     let mut timings: Vec<Duration> = Vec::with_capacity(args.repeat);
     let mut result = None;
     for _ in 0..args.repeat {

@@ -10,11 +10,8 @@
 //!   [`f1_components::AlgorithmId`]) against a dense
 //!   [`ThroughputTable`], so the hot loop performs **zero string hashing
 //!   and zero per-candidate allocation**;
-//! * evaluation runs through
-//!   [`parallel_map_indices`](crate::sweep::parallel_map_indices) in
-//!   work-stealing-friendly chunks **sized automatically from the job
-//!   count and core count** ([`Engine::with_chunk_size`] pins an
-//!   explicit override), and **propagates** model errors as
+//! * evaluation runs through the sharded tier-1 executor of
+//!   [`crate::shard`] and **propagates** model errors as
 //!   [`SkylineError`] instead of panicking (an un-liftable payload is an
 //!   infeasible outcome, not an error);
 //! * [`Engine::explore_all`] batches every airframe into one parallel
@@ -239,9 +236,6 @@ pub struct Engine<'c> {
     table: ThroughputTable,
     heatsink: HeatsinkModel,
     saturation: Saturation,
-    /// Explicit work-stealing chunk override; `None` means autotune per
-    /// workload via [`crate::sweep::auto_chunk_size`].
-    chunk_size: Option<usize>,
 }
 
 impl<'c> Engine<'c> {
@@ -259,23 +253,7 @@ impl<'c> Engine<'c> {
             table: catalog.throughput_table(),
             heatsink: HeatsinkModel::paper_calibrated(),
             saturation: Saturation::DEFAULT,
-            chunk_size: None,
         }
-    }
-
-    /// Pins the work-stealing chunk size, overriding the default
-    /// autotune (which derives the chunk from the job count and the
-    /// machine's available parallelism — see
-    /// [`crate::sweep::auto_chunk_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk_size);
-        self
     }
 
     /// Overrides the heatsink model used to convert TDP into payload.
@@ -307,8 +285,8 @@ impl<'c> Engine<'c> {
     /// candidate (airframe-independent), in deterministic name order —
     /// sensor-major over
     /// [`ThroughputTable::characterized_pairs`](f1_components::ThroughputTable::characterized_pairs),
-    /// the same pair order the sharded streaming executor
-    /// ([`crate::shard`]) decodes candidates from.
+    /// the same pair order the tier-1 executor ([`crate::shard`])
+    /// decodes candidates from.
     pub fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
         self.sensors.iter().flat_map(move |&sensor| {
             self.table
@@ -377,11 +355,11 @@ impl<'c> Engine<'c> {
         )
     }
 
-    /// Projects this engine into the shared-pass executor's borrowed
+    /// Projects this engine into the tier-1 executor's borrowed
     /// context, so [`Query::run`](crate::query::Query::run) and
     /// [`Session`](crate::session::Session) execute identical code.
-    pub(crate) fn pass_context(&self) -> crate::session::PassContext<'_> {
-        crate::session::PassContext {
+    pub(crate) fn pass_context(&self) -> crate::shard::PassContext<'_> {
+        crate::shard::PassContext {
             catalog: self.catalog,
             airframes: &self.airframes,
             sensors: &self.sensors,
@@ -390,7 +368,6 @@ impl<'c> Engine<'c> {
             table: &self.table,
             heatsink: &self.heatsink,
             saturation: self.saturation,
-            chunk_size: self.chunk_size,
         }
     }
 
@@ -569,18 +546,17 @@ impl<'c> Engine<'c> {
     }
 }
 
-/// The engine-free evaluation core: one set of parts on one airframe,
-/// under a heatsink model and knee saturation. This is the hot-loop body
-/// shared by [`Engine::evaluate_parts_loaded`] and the fused shared-pass
-/// executor of [`crate::session`] (which has no engine, only a
-/// [`Session`](crate::session::Session) snapshot).
+/// The engine-free evaluation core behind [`Engine::evaluate_parts_loaded`]:
+/// one set of parts on one airframe, under a heatsink model and knee
+/// saturation. The tier-1 executor of [`crate::shard`] runs the same two
+/// halves, [`pair_stage`] and [`algo_stage`], with the pair stage hoisted.
 ///
 /// This intentionally mirrors the single-compute, no-battery slice of
 /// [`UavSystem`](crate::UavSystem)'s payload/safety composition without
 /// allocating a system; the `engine_matches_uav_system_analysis` test
 /// pins the two paths together over the whole catalog — change them in
 /// lockstep.
-pub(crate) fn evaluate_parts_with(
+fn evaluate_parts_with(
     heatsink: &HeatsinkModel,
     saturation: Saturation,
     airframe: &Airframe,
@@ -603,8 +579,8 @@ pub(crate) fn evaluate_parts_with(
 /// The algorithm-independent half of [`evaluate_parts_with`]: everything
 /// that depends only on (airframe, sensor, compute platform, extra
 /// payload) — payload mass, loaded dynamics, the safety model and the
-/// roofline. The sharded streaming executor of [`crate::shard`] hoists
-/// this out of its inner loop, computing it once per (sensor, compute)
+/// roofline. The tier-1 executor of [`crate::shard`] hoists this out of
+/// its inner loop, computing it once per (sensor, compute)
 /// pair instead of once per candidate; [`algo_stage`] finishes the job
 /// per algorithm. Splitting here cannot change bits: the composition is
 /// the literal statement sequence of the original fused kernel.
@@ -628,32 +604,6 @@ pub(crate) enum PairStage {
         /// The shared safety roofline.
         roofline: Roofline,
     },
-}
-
-impl PairStage {
-    /// Whether candidates of this pair come out feasible. Feasibility is
-    /// decided entirely at the pair stage (it is a mass/thrust check),
-    /// which is what lets the streaming executor hoist the mission power
-    /// model per pair.
-    pub(crate) fn feasible(&self) -> bool {
-        matches!(self, PairStage::Ready { .. })
-    }
-
-    /// The pair's total TDP (defined in both variants).
-    pub(crate) fn total_tdp(&self) -> Watts {
-        match self {
-            PairStage::Infeasible { total_tdp, .. } | PairStage::Ready { total_tdp, .. } => {
-                *total_tdp
-            }
-        }
-    }
-
-    /// The pair's total payload mass (defined in both variants).
-    pub(crate) fn payload(&self) -> Grams {
-        match self {
-            PairStage::Infeasible { payload, .. } | PairStage::Ready { payload, .. } => *payload,
-        }
-    }
 }
 
 /// Computes the algorithm-independent [`PairStage`] of the evaluation
@@ -981,20 +931,6 @@ mod tests {
         assert!(frontier
             .iter()
             .any(|p| p.evaluated.outcome.velocity.get() == best_velocity));
-    }
-
-    #[test]
-    fn chunk_size_does_not_change_results() {
-        let catalog = Catalog::paper();
-        let baseline = Engine::new(&catalog).explore_all().unwrap();
-        for chunk_size in [1, 3, 64, 10_000] {
-            let engine = Engine::new(&catalog).with_chunk_size(chunk_size);
-            assert_eq!(
-                engine.explore_all().unwrap(),
-                baseline,
-                "chunk {chunk_size}"
-            );
-        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The Skyline user knobs (paper Table II).
 
 use f1_units::{Grams, Hertz, Meters, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::SkylineError;
 
 /// Description of one knob, as listed in paper Table II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnobDescription {
     /// Knob name.
     pub parameter: &'static str,
@@ -36,7 +35,7 @@ pub struct KnobDescription {
 /// };
 /// assert!(knobs.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// Throughput of the sensor (Hz).
     pub sensor_framerate: Hertz,

@@ -21,14 +21,14 @@
 //!   constraints and Table II knob sweeps compiled onto the engine.
 //! * [`plan`] / [`session`] — the compile/execute split for serving:
 //!   owned `Send + Sync` [`QueryPlan`]s with canonical cache keys,
-//!   executed (and batched into one fused shared pass, and memoized) by
+//!   executed (and batched into one sharded pass, and memoized) by
 //!   a [`Session`] over an `Arc<Catalog>`, producing columnar
 //!   [`ResultSet`]s with bounded-heap top-k and paged iteration.
-//! * [`shard`] — the sharded streaming executor: (airframe × knob
-//!   setting)-aligned shards evaluated over struct-of-arrays slabs and
-//!   reduced to frontier + top-k + accounting without materializing
-//!   every point, selected per plan via [`KeepPoints`] — this is what
-//!   makes 10⁷-candidate catalogs interactive with bounded memory.
+//! * [`shard`] — the one tier-1 executor: every same-signature group of
+//!   plans runs as one sharded pass with a lane per plan, evaluated over
+//!   struct-of-arrays slabs; [`KeepPoints`] picks each lane's collector
+//!   (every kept point, or frontier + top-k + accounting only — what
+//!   makes 10⁷-candidate catalogs interactive with bounded memory).
 //! * [`frontier`] — O(n log n) sort-and-sweep Pareto skylines.
 //! * [`tier2`] — the two-tier evaluation hook: plans may declare
 //!   simulation-backed [`SimObjective`]s, evaluated by an installed

@@ -10,7 +10,7 @@
 //! validated at build time) and an optional subspace restriction, with
 //! **no engine or catalog lifetime** anywhere in the type. Plans execute
 //! against a [`Session`](crate::Session), which runs batches of them in
-//! one fused parallel pass and memoizes results under each plan's
+//! one sharded pass and memoizes results under each plan's
 //! [canonical key](QueryPlan::key).
 //!
 //! ```
@@ -32,7 +32,6 @@
 
 use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
 use f1_units::{Grams, MetersPerSecond, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::query::{
     Constraint, Knob, KnobSetting, KnobSweep, MissionProfile, Objective, DEFAULT_OBJECTIVES,
@@ -52,7 +51,7 @@ const KEY_PREFIX: &str = "f1.plan.v1";
 /// O(candidates), which is what makes 10⁷–10⁸-candidate spaces
 /// practical; the frontier, top-k ranking and all counters are
 /// bit-identical to the materializing path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KeepPoints {
     /// Materialize below [`STREAM_AUTO_THRESHOLD`](crate::shard::STREAM_AUTO_THRESHOLD)
     /// evaluation jobs, stream above it. The default.
@@ -101,7 +100,7 @@ pub const MAX_SIM_TRIALS: u32 = 10_000;
 /// ranked top-k). Evaluation is delegated to the session's installed
 /// [`Tier2Evaluator`](crate::Tier2Evaluator) (the `f1-sim` crate
 /// provides the flightsim/pipeline-backed implementation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimObjective {
     /// Fraction of `trials` seeded `StopScenario` disturbance trials the
     /// candidate completes without a tracking infraction (maximized).
@@ -195,10 +194,9 @@ impl SimObjective {
 /// meaningful in the catalog that minted them; executing a plan against
 /// a different catalog fails with [`SkylineError::PlanCatalog`].
 ///
-/// The serde derives are inert markers today (`crates/ext/serde`); the
-/// working wire format is the canonical key: [`key`](Self::key) /
+/// The wire format is the canonical key: [`key`](Self::key) /
 /// [`from_key`](Self::from_key) round-trip the entire plan as a string.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     objectives: Vec<Objective>,
     constraints: Vec<Constraint>,

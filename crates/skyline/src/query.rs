@@ -11,7 +11,7 @@
 //! Since the compile/execute split, [`Query`] is a thin borrowed facade:
 //! [`Query::run`] compiles the request into an owned
 //! [`QueryPlan`] and executes it through the
-//! same fused shared-pass core that backs [`Session`](crate::Session) —
+//! same sharded tier-1 executor that backs [`Session`](crate::Session) —
 //! use [`Query::plan`] to keep the compiled plan and hand it to a
 //! session for caching, batching and multi-threaded serving.
 //!
@@ -46,7 +46,8 @@ use f1_units::{Grams, MetersPerSecond, Watts};
 
 use crate::dse::{Candidate, DseOutcome, DseResult, Engine, Outcome};
 use crate::plan::{PlanBuilder, QueryPlan};
-use crate::session::{run_plans, ResultSet};
+use crate::session::ResultSet;
+use crate::shard::run_plans;
 use crate::SkylineError;
 
 pub use crate::mission::SENSOR_STACK_POWER_W;
@@ -91,7 +92,7 @@ impl Objective {
     }
 
     /// Position of this objective in [`Objective::ALL`] — the slot it
-    /// occupies in the shared-pass executor's per-job value cache.
+    /// occupies in the tier-1 executor's per-row fill mask.
     pub(crate) fn all_index(self) -> usize {
         match self {
             Self::SafeVelocity => 0,
@@ -483,7 +484,7 @@ pub struct QueryPoint {
 
 /// The number of distinct objectives a query can carry
 /// ([`Objective::ALL`] — objective lists are deduplicated), which bounds
-/// the fused per-job objective row at a stack array.
+/// the per-row objective values at a stack array.
 pub(crate) const MAX_OBJECTIVES: usize = Objective::ALL.len();
 
 /// A builder-style, composable design-space query over an [`Engine`].
@@ -617,13 +618,13 @@ impl<'e, 'c> Query<'e, 'c> {
         self.builder.clone().build()
     }
 
-    /// Compiles and runs the query: one fused batched parallel pass over
+    /// Compiles and runs the query: one sharded pass over
     /// every airframe × knob setting × characterized candidate —
     /// evaluation, constraint filtering **and** objective extraction all
     /// happen inside the pass — followed by the O(n log n) frontier.
     ///
     /// This is a compatibility wrapper over [`plan`](Self::plan) plus
-    /// the shared-pass executor that backs
+    /// the tier-1 executor that backs
     /// [`Session::run`](crate::Session::run); unlike a session it
     /// caches nothing.
     ///
@@ -728,6 +729,7 @@ impl<'c> Engine<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::KeepPoints;
     use f1_components::{names, Catalog};
 
     #[test]
@@ -1246,45 +1248,66 @@ mod tests {
         // 1e308 passes the sweep-value validation (finite, positive) but
         // scales the catalog rates/ranges/masses to infinity: the
         // variant build must reject it before any evaluation runs,
-        // naming the knob.
+        // naming the knob — under every keep policy, and even when the
+        // subspace holds no characterized pair (nothing to evaluate).
         let catalog = Catalog::paper();
         let engine = Engine::new(&catalog);
-        for (knob, expected) in [
-            (Knob::SensorRateScale, "Sensor Framerate"),
-            (Knob::SensorRangeScale, "Sensor Range"),
-            (Knob::TdpScale, "Compute TDP"),
-            (Knob::WeightScale, "Drone Weight"),
-            (Knob::RotorPull, "Rotor Pull"),
-        ] {
-            let err = engine
-                .query()
-                .sweep(KnobSweep::new(knob, vec![1e308]))
-                .run()
-                .unwrap_err();
-            match err {
-                SkylineError::KnobVariant { knob, value, .. } => {
-                    assert_eq!(knob, expected);
-                    assert_eq!(value, 1e308);
+        let table = catalog.throughput_table();
+        let uncharacterized = catalog
+            .compute_entries()
+            .filter(|(_, c)| (c.tdp().get() * 1e308).is_infinite())
+            .flat_map(|(c, _)| catalog.algorithm_entries().map(move |(a, _)| (c, a)))
+            .find(|&(c, a)| table.get(c, a).is_none())
+            .expect("the paper catalog leaves a multi-watt platform's pair uncharacterized");
+        for keep in [KeepPoints::Auto, KeepPoints::All, KeepPoints::FrontierOnly] {
+            for empty in [false, true] {
+                let query = || {
+                    let query = engine.query().keep_points(keep);
+                    if empty {
+                        let (c, a) = uncharacterized;
+                        query.computes(&[c]).algorithms(&[a])
+                    } else {
+                        query
+                    }
+                };
+                for (knob, expected) in [
+                    (Knob::SensorRateScale, "Sensor Framerate"),
+                    (Knob::SensorRangeScale, "Sensor Range"),
+                    (Knob::TdpScale, "Compute TDP"),
+                    (Knob::WeightScale, "Drone Weight"),
+                    (Knob::RotorPull, "Rotor Pull"),
+                ] {
+                    let err = query()
+                        .sweep(KnobSweep::new(knob, vec![1e308]))
+                        .run()
+                        .unwrap_err();
+                    match err {
+                        SkylineError::KnobVariant { knob, value, .. } => {
+                            assert_eq!(knob, expected, "{keep:?}, empty subspace {empty}");
+                            assert_eq!(value, 1e308);
+                        }
+                        other => {
+                            panic!("{keep:?}, empty {empty}: expected KnobVariant, got {other:?}")
+                        }
+                    }
                 }
-                other => panic!("expected KnobVariant, got {other:?}"),
+                // Stacked payload deltas compose by addition: two
+                // individually valid values summing to +∞ must fail the
+                // same way, not panic in the units layer.
+                let err = query()
+                    .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
+                    .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
+                    .run()
+                    .unwrap_err();
+                assert!(matches!(
+                    err,
+                    SkylineError::KnobVariant {
+                        knob: "Payload Weight",
+                        ..
+                    }
+                ));
             }
         }
-        // Stacked payload deltas compose by addition: two individually
-        // valid values summing to +∞ must fail the same way, not panic
-        // in the units layer.
-        let err = engine
-            .query()
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-            .run()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SkylineError::KnobVariant {
-                knob: "Payload Weight",
-                ..
-            }
-        ));
     }
 
     #[test]

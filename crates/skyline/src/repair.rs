@@ -14,7 +14,7 @@
 //! * **Retired** candidates are masked out of the merged result.
 //! * **Net-new** candidates (any fresh part, or a re-characterized /
 //!   newly characterized throughput pair) are the only ones evaluated,
-//!   through the same fused parallel pass as a cold run — as a handful
+//!   through the same sharded pass as a cold run — as a handful
 //!   of cross-product *slabs* that exactly tile `new-space ∖ survivors`.
 //! * The merged point list is reassembled in the **new epoch's
 //!   enumeration order**, and the new frontier is obtained by merging
@@ -33,9 +33,10 @@ use std::sync::Arc;
 use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId, ThroughputTable};
 
 use crate::frontier;
-use crate::plan::QueryPlan;
+use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{KnobSetting, Objective, QueryPoint};
-use crate::session::{run_plans, EpochState, PassContext, PointRef, ResultSet};
+use crate::session::{EpochState, PointRef, ResultSet};
+use crate::shard::{run_plans, PassContext};
 use crate::SkylineError;
 
 /// Outcome of a repair attempt.
@@ -125,7 +126,7 @@ fn family_delta(
 }
 
 /// Arithmetic index of the new epoch's candidate enumeration (the
-/// sensor-major, compute-middle, algorithm-minor nesting of the fused
+/// sensor-major, compute-middle, algorithm-minor nesting of the tier-1
 /// pass, filtered to characterized pairs): position lookups are a few
 /// array reads, no hashing — the repair touches every surviving point
 /// once, so this is the hot loop.
@@ -235,7 +236,9 @@ fn slab_plan(
     computes: &[u32],
     algorithms: &[u32],
 ) -> Result<QueryPlan, SkylineError> {
+    // Repair splices every slab point, so slabs always keep them all.
     let mut builder = QueryPlan::builder()
+        .keep_points(KeepPoints::All)
         .objectives(plan.objectives())
         .mission_profile(plan.mission_profile())
         .airframes(&raw_ids::<AirframeId>(airframes))
@@ -436,7 +439,7 @@ pub(crate) fn repair_result(
     // The delta slabs exactly tile `new-space ∖ (retained × retained ×
     // retained × retained-with-unchanged-throughput)` as disjoint cross
     // products, so every non-survivor candidate is evaluated exactly
-    // once and through the same fused pass as a cold run.
+    // once and through the same sharded pass as a cold run.
     type SlabSpec<'s> = (&'s [u32], &'s [u32], &'s [u32], &'s [u32]);
     let mut specs: Vec<SlabSpec<'_>> = vec![
         (
@@ -475,21 +478,7 @@ pub(crate) fn repair_result(
             continue;
         }
         let slab = slab_plan(plan, a, s, c, g)?;
-        // Small slabs (the typical patched-pair case: one compute × a
-        // few algorithms) run serially: a single chunk skips the
-        // worker-thread spawn entirely, whose overhead would otherwise
-        // dominate a ≤1% repair. Large slabs keep the autotuned
-        // parallel pass.
-        let job_bound = a.len() * s.len() * c.len() * g.len() * settings.len();
-        let slab_ctx = PassContext {
-            chunk_size: if job_bound <= 4096 {
-                Some(job_bound.max(1))
-            } else {
-                ctx.chunk_size
-            },
-            ..*ctx
-        };
-        let mut results = run_plans(&slab_ctx, &[&slab], false)?;
+        let mut results = run_plans(ctx, &[&slab], false)?;
         slabs.push(results.pop().expect("one slab plan in, one result out"));
     }
 
@@ -560,7 +549,7 @@ pub(crate) fn repair_result(
     let cached_segments = segments.len() as u32;
     let mut fresh: Vec<QueryPoint> = Vec::with_capacity(delta.len());
     let mut kept: Vec<PointRef> = Vec::with_capacity(capacity);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(capacity); dims];
+    let mut columns = crate::shard::columns_with_capacity(dims, capacity);
     let mut merged_of_cached: Vec<Option<u32>> = vec![None; cached.len()];
     let mut merged_of_delta: Vec<u32> = Vec::with_capacity(delta.len());
     let emit_delta = |dp: &DeltaPoint,
@@ -670,7 +659,7 @@ pub(crate) fn repair_result(
     Ok(Repair::Repaired(Box::new(ResultSet::from_segments(
         objectives.to_vec(),
         segments,
-        kept,
+        Some(kept),
         columns,
         merged_frontier,
         uncharacterized,

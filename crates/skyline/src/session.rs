@@ -1,20 +1,23 @@
-//! The **execute** half of the compile/execute split: a shared-pass,
-//! plan-cached [`Session`] over an `Arc<Catalog>`, and the columnar
+//! The **execute** half of the compile/execute split: a plan-cached
+//! [`Session`] over a versioned catalog store, and the columnar
 //! [`ResultSet`] it produces.
 //!
 //! A [`Session`] is the serving-side counterpart of
 //! [`Engine`](crate::dse::Engine): it owns its catalog (no lifetimes in
 //! the public API), is `Send + Sync`, and executes owned
-//! [`QueryPlan`]s:
+//! [`QueryPlan`]s through the one tier-1 executor, [`crate::shard`]:
 //!
-//! * [`Session::run_batch`] fuses a whole batch of plans into **one**
-//!   parallel pass — candidates are enumerated and the momentum-theory
-//!   outcome evaluated *once*, then each plan's constraint filter and
-//!   objective rows are applied in-pass — so eight what-if questions
-//!   over a 10⁵-candidate catalog cost barely more than one.
+//! * [`Session::run_batch`] runs every group of same-signature plans as
+//!   **one** sharded pass with a lane per plan — candidates are
+//!   enumerated and the momentum-theory outcome evaluated *once*, then
+//!   each lane's constraint filter, objective values and collector
+//!   apply in-pass — so eight what-if questions over a 10⁵-candidate
+//!   catalog cost barely more than one.
 //! * Completed results are memoized under each plan's
-//!   [canonical key](crate::plan::QueryPlan::key): a repeated query is a
-//!   cache lookup returning the same `Arc<ResultSet>`, not a pass.
+//!   [canonical key](crate::plan::QueryPlan::key) and epoch: a repeated
+//!   query is a cache lookup returning the same `Arc<ResultSet>`, and
+//!   [`Session::refresh`] repairs an older epoch's result across a
+//!   catalog delta (the `repair` module).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -27,7 +30,7 @@
 //! let plan = QueryPlan::builder()
 //!     .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
 //!     .build()?;
-//! let result = session.run(&plan)?;          // one fused pass
+//! let result = session.run(&plan)?;          // one sharded pass
 //! let again = session.run(&plan)?;           // plan-cache hit
 //! assert!(Arc::ptr_eq(&result, &again));
 //! let top = result.top_k(3);                 // bounded-heap, no full sort
@@ -35,30 +38,24 @@
 //! # Ok::<(), f1_skyline::SkylineError>(())
 //! ```
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
+use f1_components::json::{fmt_number, quote};
 use f1_components::{
-    Airframe, AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComponentError,
-    ComputeId, ComputePlatform, EpochSnapshot, Sensor, SensorId, ThroughputTable,
+    AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComputeId, EpochSnapshot,
+    SensorId, ThroughputTable,
 };
 use f1_model::heatsink::HeatsinkModel;
-use f1_model::mission::{hover_endurance, PowerModel};
 use f1_model::roofline::Saturation;
-use f1_units::{Grams, Hertz, Meters};
-use serde::{Deserialize, Serialize};
 
-use crate::dse::{evaluate_parts_with, Candidate, Outcome};
 use crate::plan::QueryPlan;
-use crate::query::{
-    Constraint, Knob, KnobSetting, MissionProfile, Objective, QueryPoint, MAX_OBJECTIVES,
-};
-use crate::sweep::parallel_map_indices;
+use crate::query::{Objective, QueryPoint};
+use crate::shard::{run_plans, PassContext};
 use crate::tier2::{SharedTier2, SimBlock, SimStats, Tier2Context};
-use crate::{frontier, SkylineError};
+use crate::SkylineError;
 
 // ---------------------------------------------------------------------
 // ResultSet
@@ -80,8 +77,7 @@ use crate::{frontier, SkylineError};
 /// for paged serving, and [`ranked`](Self::ranked) still materializes
 /// everything when asked.
 ///
-/// The serde derives are inert markers today (`crates/ext/serde`); the
-/// working export format is [`to_json`](Self::to_json).
+/// The export format is [`to_json`](Self::to_json).
 ///
 /// Internally, result sets produced by one shared-pass batch all point
 /// into **one** `Arc`-shared store of evaluated points (a plan holds
@@ -94,11 +90,11 @@ use crate::{frontier, SkylineError};
 /// # Streamed mode
 ///
 /// Plans whose [`KeepPoints`](crate::plan::KeepPoints) policy resolves
-/// to streaming are executed by the sharded streaming executor
-/// ([`crate::shard`]), which never materializes the full point store:
+/// to streaming run through the frontier-only collector of
+/// [`crate::shard`], which never materializes the full point store:
 /// the result keeps the Pareto frontier, a bounded top-k
 /// ([`crate::shard::STREAM_TOP_K`] indices) and the accounting
-/// counters, all **bit-identical** to the materializing pass and still
+/// counters, all **bit-identical** to the keep-all collector and still
 /// addressed by the same global enumeration indices. Accessors that
 /// need an arbitrary point ([`points`](Self::points),
 /// [`minimized_keys`](Self::minimized_keys), [`point`](Self::point) on
@@ -109,7 +105,7 @@ use crate::{frontier, SkylineError};
 /// [`stored_indices`](Self::stored_indices) report the mode.
 ///
 /// [`point`]: Self::point
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResultSet {
     objectives: Vec<Objective>,
     /// Point storage **segments**. Segment 0 is the producing pass's
@@ -132,7 +128,7 @@ pub struct ResultSet {
     uncharacterized: usize,
     dropped: usize,
     nonfinite: usize,
-    /// `Some` when this result was produced by the streaming executor:
+    /// `Some` when this result was produced by a frontier-only lane:
     /// segment 0 holds only the stored (frontier ∪ top-k) points and
     /// `columns` only their rows, while indices everywhere stay global.
     streamed: Option<StreamedMeta>,
@@ -146,7 +142,7 @@ pub struct ResultSet {
 /// The streamed-mode bookkeeping of a [`ResultSet`]: how many points
 /// the plan logically kept, which global indices were materialized, and
 /// the bounded top-k ranking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StreamedMeta {
     /// Logical kept-point count (what `len()` reports).
     pub(crate) total_kept: usize,
@@ -191,31 +187,6 @@ pub(crate) struct PointRef {
 }
 
 impl ResultSet {
-    /// Builds a result whose `store` is exactly its kept point list.
-    pub(crate) fn from_own_points(
-        objectives: Vec<Objective>,
-        points: Vec<QueryPoint>,
-        columns: Vec<Vec<f64>>,
-        frontier: Vec<usize>,
-        uncharacterized: usize,
-        dropped: usize,
-        nonfinite: usize,
-    ) -> Self {
-        Self {
-            objectives,
-            segments: vec![Arc::new(points)],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
-            columns,
-            frontier,
-            uncharacterized,
-            dropped,
-            nonfinite,
-            streamed: None,
-            sim: None,
-        }
-    }
-
     /// Builds a streamed-mode result: `stored_points` (and the column
     /// rows) cover only the frontier ∪ top-k survivors, ascending by
     /// global index; `meta` carries the logical count and rankings.
@@ -232,18 +203,19 @@ impl ResultSet {
     ) -> Self {
         debug_assert_eq!(stored_points.len(), meta.stored.len());
         debug_assert!(meta.stored.windows(2).all(|w| w[0] < w[1]));
+        let segments = vec![Arc::new(stored_points)];
         Self {
-            objectives,
-            segments: vec![Arc::new(stored_points)],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
-            columns,
-            frontier,
-            uncharacterized,
-            dropped,
-            nonfinite,
             streamed: Some(meta),
-            sim: None,
+            ..Self::from_segments(
+                objectives,
+                segments,
+                None,
+                columns,
+                frontier,
+                uncharacterized,
+                dropped,
+                nonfinite,
+            )
         }
     }
 
@@ -255,29 +227,30 @@ impl ResultSet {
     pub(crate) fn compacted(&self) -> Self {
         debug_assert!(self.streamed.is_none(), "streamed results have one segment");
         Self {
-            objectives: self.objectives.clone(),
-            segments: vec![Arc::new(self.points().to_vec())],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
-            columns: self.columns.clone(),
-            frontier: self.frontier.clone(),
-            uncharacterized: self.uncharacterized,
-            dropped: self.dropped,
-            nonfinite: self.nonfinite,
-            streamed: None,
             sim: self.sim.clone(),
+            ..Self::from_segments(
+                self.objectives.clone(),
+                vec![Arc::new(self.points().to_vec())],
+                None,
+                self.columns.clone(),
+                self.frontier.clone(),
+                self.uncharacterized,
+                self.dropped,
+                self.nonfinite,
+            )
         }
     }
 
-    /// Builds a result over an explicit segmented store — the
-    /// incremental-repair constructor: surviving points reference the
-    /// repaired result's segments, delta points reference the slab
-    /// passes' stores.
+    /// Builds a materializing result over a segmented store: a cold
+    /// pass hands every keep-all lane the pass's one shared store (with
+    /// `kept: None` when the lane kept every stored point); incremental
+    /// repair splices the repaired result's segments with the delta
+    /// points' segment.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_segments(
         objectives: Vec<Objective>,
         segments: Vec<Arc<Vec<QueryPoint>>>,
-        kept: Vec<PointRef>,
+        kept: Option<Vec<PointRef>>,
         columns: Vec<Vec<f64>>,
         frontier: Vec<usize>,
         uncharacterized: usize,
@@ -287,7 +260,7 @@ impl ResultSet {
         Self {
             objectives,
             segments,
-            kept: Some(kept),
+            kept,
             points_cache: std::sync::OnceLock::new(),
             columns,
             frontier,
@@ -318,6 +291,12 @@ impl ResultSet {
             },
             Some(kept) => kept[index],
         }
+    }
+
+    /// The point a segmented-store reference names.
+    // analyze::allow(indexing, scope = "fn", reason = "refs are built in-range by the pass or repair that produced the segments")
+    fn at(&self, r: PointRef) -> &QueryPoint {
+        &self.segments[r.segment as usize][r.index as usize]
     }
 
     /// Whether this result was produced in streamed mode (frontier +
@@ -394,15 +373,9 @@ impl ResultSet {
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "documented `# Panics` accessor; try_point is the checked sibling the serving tier uses")
     pub fn point(&self, index: usize) -> &QueryPoint {
-        if self.streamed.is_some() {
-            return &self.segments[0][self.row_pos(index)];
-        }
-        match &self.kept {
-            None => &self.segments[0][index],
-            Some(kept) => {
-                let r = kept[index];
-                &self.segments[r.segment as usize][r.index as usize]
-            }
+        match self.streamed {
+            Some(_) => &self.segments[0][self.row_pos(index)],
+            None => self.at(self.point_ref(index)),
         }
     }
 
@@ -419,17 +392,8 @@ impl ResultSet {
             return None;
         }
         match &self.streamed {
-            Some(meta) => {
-                let r = meta.stored.binary_search(&index).ok()?;
-                Some(&self.segments[0][r])
-            }
-            None => match &self.kept {
-                None => Some(&self.segments[0][index]),
-                Some(kept) => {
-                    let r = kept[index];
-                    Some(&self.segments[r.segment as usize][r.index as usize])
-                }
-            },
+            Some(meta) => Some(&self.segments[0][meta.stored.binary_search(&index).ok()?]),
+            None => Some(self.at(self.point_ref(index))),
         }
     }
 
@@ -483,11 +447,9 @@ impl ResultSet {
         );
         match &self.kept {
             None => &self.segments[0],
-            Some(kept) => self.points_cache.get_or_init(|| {
-                kept.iter()
-                    .map(|r| self.segments[r.segment as usize][r.index as usize])
-                    .collect()
-            }),
+            Some(kept) => self
+                .points_cache
+                .get_or_init(|| kept.iter().map(|&r| *self.at(r)).collect()),
         }
     }
 
@@ -579,23 +541,12 @@ impl ResultSet {
         self.frontier.iter().map(|&i| self.point(i))
     }
 
-    /// The rank comparator: feasible before infeasible, then by the
-    /// primary objective, ties in enumeration order. Total.
+    /// The rank comparator ([`crate::shard`]'s rank order) over point
+    /// indices.
     // analyze::allow(indexing, scope = "fn", reason = "comparator only sees indices < len() produced by the ranking loops")
     fn rank_cmp(&self, a: usize, b: usize) -> Ordering {
-        self.point(b)
-            .outcome
-            .feasible
-            .cmp(&self.point(a).outcome.feasible)
-            .then_with(|| {
-                let (va, vb) = (self.columns[0][a], self.columns[0][b]);
-                if self.objectives[0].maximize() {
-                    vb.total_cmp(&va)
-                } else {
-                    va.total_cmp(&vb)
-                }
-            })
-            .then_with(|| a.cmp(&b))
+        let key = |i: usize| (self.point(i).outcome.feasible, self.columns[0][i], i);
+        crate::shard::rank_cmp(self.objectives[0].maximize(), key(a), key(b))
     }
 
     /// Indices of all points ranked best-first: feasible before
@@ -832,6 +783,7 @@ impl ResultSet {
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "pos enumerates self.objectives; columns are objective-aligned by construction")
     pub fn to_json(&self, catalog: &Catalog) -> String {
+        let number = |v: f64| fmt_number(v).unwrap_or_else(|| "null".to_owned());
         let mut out = String::with_capacity(64 + self.len() * 96);
         out.push_str("{\n  \"objectives\": [");
         for (i, o) in self.objectives.iter().enumerate() {
@@ -840,8 +792,8 @@ impl ResultSet {
             }
             out.push_str(&format!(
                 "{{\"label\": {}, \"unit\": {}, \"maximize\": {}}}",
-                json_string(o.label()),
-                json_string(o.unit()),
+                quote(o.label()),
+                quote(o.unit()),
                 o.maximize()
             ));
         }
@@ -868,13 +820,13 @@ impl ResultSet {
             if pos > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(objective.label()));
+            out.push_str(&quote(objective.label()));
             out.push_str(": [");
             for (i, v) in self.columns[pos].iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_number(*v));
+                out.push_str(&number(*v));
             }
             out.push(']');
         }
@@ -885,17 +837,15 @@ impl ResultSet {
                 out.push(',');
             }
             out.push_str("\n    {\"airframe\": ");
-            out.push_str(&json_string(catalog.airframe_by_id(point.airframe).name()));
+            out.push_str(&quote(catalog.airframe_by_id(point.airframe).name()));
             out.push_str(", \"sensor\": ");
-            out.push_str(&json_string(
-                catalog.sensor_by_id(point.candidate.sensor).name(),
-            ));
+            out.push_str(&quote(catalog.sensor_by_id(point.candidate.sensor).name()));
             out.push_str(", \"compute\": ");
-            out.push_str(&json_string(
+            out.push_str(&quote(
                 catalog.compute_by_id(point.candidate.compute).name(),
             ));
             out.push_str(", \"algorithm\": ");
-            out.push_str(&json_string(
+            out.push_str(&quote(
                 catalog.algorithm_by_id(point.candidate.algorithm).name(),
             ));
             out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
@@ -905,12 +855,12 @@ impl ResultSet {
                     ", \"setting\": {{\"tdp_scale\": {}, \"sensor_rate_scale\": {}, \
                      \"sensor_range_scale\": {}, \"payload_delta_g\": {}, \
                      \"weight_scale\": {}, \"rotor_pull_scale\": {}}}",
-                    json_number(s.tdp_scale),
-                    json_number(s.sensor_rate_scale),
-                    json_number(s.sensor_range_scale),
-                    json_number(s.payload_delta.get()),
-                    json_number(s.weight_scale),
-                    json_number(s.rotor_pull_scale),
+                    number(s.tdp_scale),
+                    number(s.sensor_rate_scale),
+                    number(s.sensor_range_scale),
+                    number(s.payload_delta.get()),
+                    number(s.weight_scale),
+                    number(s.rotor_pull_scale),
                 ));
             }
             out.push('}');
@@ -931,7 +881,7 @@ impl ResultSet {
                 }
                 out.push_str(&format!(
                     "{{\"label\": {}, \"maximize\": {}}}",
-                    json_string(o.label()),
+                    quote(o.label()),
                     o.maximize()
                 ));
             }
@@ -948,7 +898,7 @@ impl ResultSet {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_number(*v));
+                    out.push_str(&number(*v));
                 }
                 out.push_str("]}");
             }
@@ -960,10 +910,10 @@ impl ResultSet {
                 out.push_str(&format!(
                     "\n      {{\"objective\": {}, \"analytic\": {}, \"tau\": {}, \
                      \"agreement\": {}, \"outliers\": [{}]}}",
-                    json_string(entry.objective.label()),
-                    json_string(entry.analytic.label()),
-                    json_number(entry.tau),
-                    json_number(entry.agreement),
+                    quote(entry.objective.label()),
+                    quote(entry.analytic.label()),
+                    number(entry.tau),
+                    number(entry.agreement),
                     entry
                         .outliers
                         .iter()
@@ -1034,949 +984,6 @@ impl<'a> ResultPage<'a> {
             .enumerate()
             .map(move |(i, p)| (start + i, p))
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-// ---------------------------------------------------------------------
-// The fused shared-pass executor
-// ---------------------------------------------------------------------
-
-/// Everything a pass needs, borrowed: both [`Engine`](crate::dse::Engine)
-/// (catalog by reference) and [`Session`] (catalog behind `Arc`) project
-/// themselves into one of these, so the borrowed compatibility query and
-/// the owned serving path execute the **same** code.
-pub(crate) struct PassContext<'a> {
-    pub catalog: &'a Catalog,
-    pub airframes: &'a [AirframeId],
-    pub sensors: &'a [SensorId],
-    pub computes: &'a [ComputeId],
-    pub algorithms: &'a [AlgorithmId],
-    pub table: &'a ThroughputTable,
-    pub heatsink: &'a HeatsinkModel,
-    pub saturation: Saturation,
-    pub chunk_size: Option<usize>,
-}
-
-impl PassContext<'_> {
-    pub(crate) fn chunk_size_for(&self, jobs: usize) -> usize {
-        self.chunk_size
-            .unwrap_or_else(|| crate::sweep::auto_chunk_size(jobs))
-    }
-}
-
-/// Pre-built component variants for one knob setting, indexed by
-/// position in the group's resolved sensor/compute/airframe lists.
-/// Shared with the sharded streaming executor ([`crate::shard`]), which
-/// resolves settings through the same construction so both executors
-/// evaluate byte-identical parts.
-pub(crate) struct VariantParts {
-    pub(crate) sensors: Vec<Sensor>,
-    pub(crate) computes: Vec<ComputePlatform>,
-    /// `Some` only when the setting scales an airframe knob (drone
-    /// weight / rotor pull); `None` shares the stock catalog airframes.
-    pub(crate) airframes: Option<Vec<Airframe>>,
-    pub(crate) extra_payload: Grams,
-}
-
-/// An indexed candidate: the public [`Candidate`] plus positions into
-/// the group's resolved lists (for variant lookup without id → position
-/// maps in the hot loop).
-#[derive(Clone, Copy)]
-struct IndexedCandidate {
-    candidate: Candidate,
-    sensor_pos: u32,
-    compute_pos: u32,
-}
-
-/// One odd-profile plan's verdict on one evaluated job. Plans whose
-/// mission profile differs from the group's shared profile cannot read
-/// the shared per-job value cache, so the pass materializes their rows
-/// explicitly (a rare path — co-profiled batches produce no rows at
-/// all).
-enum PlanRow {
-    /// Rejected by a constraint.
-    Dropped,
-    /// Passed every constraint: objective row (the first
-    /// `objectives.len()` slots are meaningful).
-    Kept([f64; MAX_OBJECTIVES]),
-}
-
-/// Per-job output of the fused pass: the shared outcome, the bitmask of
-/// member plans whose constraints admit it, the shared-profile value
-/// cache (each objective computed **once** per job, in
-/// [`Objective::ALL`] order, `NaN` where no kept plan needs it), and —
-/// only when the group has odd-profile members — their materialized
-/// rows. Everything is inline except the rare odd-row vector
-/// (`Vec::new()` does not allocate), so a batch pass stays as
-/// allocation-free per job as the single-plan pass.
-type JobOut = (Outcome, u64, [f64; MAX_OBJECTIVES], Vec<PlanRow>);
-
-/// Validates that every id a plan carries is in range for the catalog.
-fn validate_plan_ids(ctx: &PassContext<'_>, plan: &QueryPlan) -> Result<(), SkylineError> {
-    fn check<T: Copy>(
-        ids: Option<&[T]>,
-        index: impl Fn(T) -> usize,
-        count: usize,
-        family: &'static str,
-    ) -> Result<(), SkylineError> {
-        for &id in ids.unwrap_or_default() {
-            if index(id) >= count {
-                return Err(SkylineError::PlanCatalog {
-                    family,
-                    index: index(id),
-                    count,
-                });
-            }
-        }
-        Ok(())
-    }
-    let catalog = ctx.catalog;
-    check(
-        plan.airframes(),
-        AirframeId::index,
-        catalog.airframe_count(),
-        "airframe",
-    )?;
-    check(
-        plan.sensors(),
-        SensorId::index,
-        catalog.sensor_count(),
-        "sensor",
-    )?;
-    check(
-        plan.computes(),
-        ComputeId::index,
-        catalog.compute_count(),
-        "compute",
-    )?;
-    check(
-        plan.algorithms(),
-        AlgorithmId::index,
-        catalog.algorithm_count(),
-        "algorithm",
-    )?;
-    if let Some(battery) = plan.battery() {
-        if battery.index() >= catalog.battery_count() {
-            return Err(SkylineError::PlanCatalog {
-                family: "battery",
-                index: battery.index(),
-                count: catalog.battery_count(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Two plans can share one evaluation pass when everything that shapes
-/// the evaluated *outcomes* matches: the candidate subspace, the
-/// expanded knob settings and the mounted battery (its mass rides on
-/// every build). Objectives, constraints and mission profiles are
-/// per-plan, applied in-pass.
-fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
-    a.airframes() == b.airframes()
-        && a.sensors() == b.sensors()
-        && a.computes() == b.computes()
-        && a.algorithms() == b.algorithms()
-        && a.settings() == b.settings()
-        && a.battery() == b.battery()
-}
-
-/// Runs a batch of plans, sharing one fused parallel pass among every
-/// subset of plans with the same evaluation signature. Results come
-/// back aligned with `plans`.
-// analyze::allow(indexing, scope = "fn", reason = "slot indices come from enumerate() over plans and stay < plans.len()")
-// analyze::allow(panic, scope = "fn", reason = "the grouping loop assigns every plan index to exactly one group")
-pub(crate) fn run_plans(
-    ctx: &PassContext<'_>,
-    plans: &[&QueryPlan],
-    with_frontier: bool,
-) -> Result<Vec<ResultSet>, SkylineError> {
-    for plan in plans {
-        validate_plan_ids(ctx, plan)?;
-    }
-    let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
-    // Plans whose keep-points policy resolves to streaming run through
-    // the sharded streaming executor, one bounded-memory pass each —
-    // streaming a 10⁷-candidate member through the materializing batch
-    // store would defeat the policy's whole point. The rest share fused
-    // batch passes below.
-    let mut materializing: Vec<usize> = Vec::with_capacity(plans.len());
-    for (i, plan) in plans.iter().enumerate() {
-        if crate::shard::should_stream(ctx, plan) {
-            out[i] = Some(crate::shard::run_stream(ctx, plan, with_frontier)?);
-        } else {
-            materializing.push(i);
-        }
-    }
-    // Group by pass signature (order-preserving; batches are small, the
-    // quadratic scan is noise next to a single evaluation).
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &materializing {
-        let plan = plans[i];
-        match groups
-            .iter_mut()
-            .find(|members| same_pass(plans[members[0]], plan))
-        {
-            Some(members) => members.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    for members in groups {
-        // The per-job kept set is a u64 bitmask; a (pathological) group
-        // beyond 64 members re-runs the pass per 64-plan chunk.
-        for chunk in members.chunks(64) {
-            let group_plans: Vec<&QueryPlan> = chunk.iter().map(|&i| plans[i]).collect();
-            let results = run_group(ctx, &group_plans, with_frontier)?;
-            for (&slot, result) in chunk.iter().zip(results) {
-                out[slot] = Some(result);
-            }
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every plan belongs to exactly one group"))
-        .collect())
-}
-
-/// Builds the per-setting component variants for one pass group.
-///
-/// This is where sweep variants are **validated**: every scaled sensor,
-/// compute platform and airframe is constructed (and domain-checked)
-/// here, before the batched parallel pass, so an out-of-domain knob
-/// value surfaces as [`SkylineError::KnobVariant`] naming the offending
-/// knob instead of aborting a running evaluation.
-pub(crate) fn build_variants(
-    ctx: &PassContext<'_>,
-    sensors: &[SensorId],
-    computes: &[ComputeId],
-    airframes: &[AirframeId],
-    settings: &[KnobSetting],
-    battery_mass: f64,
-) -> Result<Vec<VariantParts>, SkylineError> {
-    let catalog = ctx.catalog;
-    // A scaled magnitude must stay positive and finite *before* it
-    // reaches the unit types (whose constructors panic on non-finite
-    // values) or the component constructors.
-    let scaled = |base: f64, knob: Knob, scale: f64, field: &'static str| {
-        let value = base * scale;
-        if value.is_finite() && value > 0.0 {
-            Ok(value)
-        } else {
-            Err(SkylineError::KnobVariant {
-                knob: knob.table2_parameter(),
-                value: scale,
-                source: ComponentError::InvalidField {
-                    field,
-                    reason: format!("scaled magnitude must be positive and finite, got {value}"),
-                },
-            })
-        }
-    };
-    settings
-        .iter()
-        .map(|setting| {
-            let sensors = sensors
-                .iter()
-                .map(|&id| {
-                    let s = catalog.sensor_by_id(id);
-                    if setting.sensor_rate_scale == 1.0 && setting.sensor_range_scale == 1.0 {
-                        Ok(s.clone())
-                    } else {
-                        let rate = scaled(
-                            s.frame_rate().get(),
-                            Knob::SensorRateScale,
-                            setting.sensor_rate_scale,
-                            "frame_rate",
-                        )?;
-                        let range = scaled(
-                            s.range().get(),
-                            Knob::SensorRangeScale,
-                            setting.sensor_range_scale,
-                            "range",
-                        )?;
-                        // `scaled` has already validated both magnitudes;
-                        // any residual constructor error is a
-                        // catalog-field problem, not a knob one.
-                        Sensor::new(
-                            s.name(),
-                            s.modality(),
-                            Hertz::new(rate),
-                            Meters::new(range),
-                            s.mass(),
-                        )
-                        .map_err(SkylineError::from)
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let computes = computes
-                .iter()
-                .map(|&id| {
-                    let c = catalog.compute_by_id(id);
-                    if setting.tdp_scale == 1.0 {
-                        Ok(c.clone())
-                    } else {
-                        // Guards the product: `with_tdp_scaled` only
-                        // validates the factor, and an overflowed TDP
-                        // would panic inside the Watts constructor.
-                        scaled(c.tdp().get(), Knob::TdpScale, setting.tdp_scale, "tdp")?;
-                        c.with_tdp_scaled(setting.tdp_scale)
-                            .map_err(SkylineError::from)
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let airframes = if setting.weight_scale == 1.0 && setting.rotor_pull_scale == 1.0 {
-                None
-            } else {
-                Some(
-                    airframes
-                        .iter()
-                        .map(|&id| {
-                            let a = catalog.airframe_by_id(id);
-                            scaled(
-                                a.base_mass().get(),
-                                Knob::WeightScale,
-                                setting.weight_scale,
-                                "base_mass",
-                            )?;
-                            scaled(
-                                a.rotor_pull().get(),
-                                Knob::RotorPull,
-                                setting.rotor_pull_scale,
-                                "rotor_pull",
-                            )?;
-                            let a = if setting.weight_scale == 1.0 {
-                                a.clone()
-                            } else {
-                                a.with_base_mass_scaled(setting.weight_scale)?
-                            };
-                            if setting.rotor_pull_scale == 1.0 {
-                                Ok(a)
-                            } else {
-                                a.with_rotor_pull_scaled(setting.rotor_pull_scale)
-                                    .map_err(SkylineError::from)
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            };
-            Ok(VariantParts {
-                sensors,
-                computes,
-                airframes,
-                extra_payload: Grams::new(battery_mass + setting.payload_delta.get()),
-            })
-        })
-        .collect()
-}
-
-/// Per-plan execution state precomputed before the pass.
-struct PlanExec<'p> {
-    plan: &'p QueryPlan,
-    /// Positions of the plan's objectives in [`Objective::ALL`] order —
-    /// the gather indices into the shared per-job value cache.
-    all_indices: Vec<usize>,
-    /// Bitmask over [`Objective::ALL`] positions.
-    obj_mask: u8,
-    /// Whether this plan reads the shared value cache: its objectives
-    /// are profile-independent, or its profile equals the group's
-    /// shared profile.
-    shared: bool,
-    /// Dense index into the per-job odd-row vector when `!shared`.
-    odd_pos: usize,
-}
-
-/// Fills the requested slots (an [`Objective::ALL`]-order bitmask) of
-/// one job's value cache. Each objective is computed **once per job**
-/// and the momentum-theory power model is derived once, no matter how
-/// many plans of the batch read the values.
-// analyze::allow(indexing, scope = "fn", reason = "idx enumerates Objective::ALL, whose length is MAX_OBJECTIVES")
-fn fill_values(
-    mask: u8,
-    vals: &mut [f64; MAX_OBJECTIVES],
-    airframe: &Airframe,
-    outcome: &Outcome,
-    battery_wh: Option<f64>,
-    profile: MissionProfile,
-) -> Result<(), SkylineError> {
-    let needs_power = mask & (ENERGY_BIT | ENDURANCE_BIT) != 0;
-    let power: Option<PowerModel> = if needs_power && outcome.feasible {
-        Some(crate::mission::power_model_for_parts(
-            airframe,
-            airframe.takeoff_mass(outcome.payload),
-            outcome.total_tdp,
-            profile.figure_of_merit,
-            profile.parasitic_coeff,
-        )?)
-    } else {
-        None
-    };
-    for (idx, objective) in Objective::ALL.iter().enumerate() {
-        if mask & (1 << idx) == 0 {
-            continue;
-        }
-        vals[idx] = match objective {
-            Objective::SafeVelocity => outcome.velocity.get(),
-            Objective::TotalTdp => outcome.total_tdp.get(),
-            Objective::PayloadMass => outcome.payload.get(),
-            Objective::MissionEnergyWhPerKm => match &power {
-                Some(p) if outcome.velocity.get() > 0.0 => {
-                    let v = outcome.velocity;
-                    p.power_at(v).get() * (1000.0 / v.get()) / 3600.0
-                }
-                _ => f64::INFINITY,
-            },
-            Objective::HoverEnduranceMin => match &power {
-                Some(p) => {
-                    let wh = battery_wh
-                        // analyze::allow(panic, reason = "plan validation rejects endurance objectives without a battery before execution")
-                        .expect("plan validation rejects endurance plans without a battery");
-                    hover_endurance(p, wh, profile.battery_reserve)?.get()
-                }
-                None => 0.0,
-            },
-        };
-    }
-    Ok(())
-}
-
-/// [`Objective::ALL`] bit of [`Objective::MissionEnergyWhPerKm`].
-const ENERGY_BIT: u8 = 1 << 3;
-/// [`Objective::ALL`] bit of [`Objective::HoverEnduranceMin`].
-const ENDURANCE_BIT: u8 = 1 << 4;
-
-/// Whether every constraint of the plan is **downward-closed** with
-/// respect to the plan's own minimized objective keys: a cap on a
-/// minimized objective, a floor on a maximized one, or plain
-/// feasibility (which the frontier domain already implies).
-///
-/// For such plans the kept set is dominance-downward-closed — if build
-/// `b` dominates build `a` and `a` passed the constraints, then `b`
-/// passed them too, because each constraint bounds an objective on
-/// which `b` is at least as good. Consequently
-/// `frontier(kept) = frontier(domain) ∩ kept` **exactly** (membership
-/// and tie handling): a dominated point stays dominated by a kept
-/// dominator, and no new frontier point can appear. A batch of
-/// co-shaped plans (same objective set, e.g. a Table II budget sweep)
-/// therefore shares **one** skyline pass plus O(n) intersections,
-/// instead of one skyline per plan.
-fn frontier_reducible(plan: &QueryPlan) -> bool {
-    plan.constraints().iter().all(|c| match c {
-        Constraint::FeasibleOnly => true,
-        Constraint::MinVelocity(_) => plan.objectives().contains(&Objective::SafeVelocity),
-        Constraint::MaxTotalTdp(_) => plan.objectives().contains(&Objective::TotalTdp),
-        Constraint::MaxPayload(_) => plan.objectives().contains(&Objective::PayloadMass),
-    })
-}
-
-/// Runs one pass group: a single fused batched parallel pass over every
-/// airframe × knob setting × characterized candidate — evaluation once,
-/// then each member plan's constraint filter and objective rows —
-/// followed by the per-plan O(n log n) frontiers.
-/// Filters a component-id list to the catalog's active (non-retired)
-/// ids, borrowing when nothing is filtered — which is always the case
-/// for the session/engine default lists (built from active entries) and
-/// for explicit plan subspaces on an unretired catalog.
-pub(crate) fn active_ids<T: Copy>(list: &[T], is_active: impl Fn(T) -> bool) -> Cow<'_, [T]> {
-    if list.iter().all(|&id| is_active(id)) {
-        Cow::Borrowed(list)
-    } else {
-        Cow::Owned(list.iter().copied().filter(|&id| is_active(id)).collect())
-    }
-}
-
-// analyze::allow(indexing, scope = "fn", reason = "fused-pass kernel: every index derives from enumerate()/chunks over the slices it indexes; per-element re-checks cost measurable throughput here")
-fn run_group(
-    ctx: &PassContext<'_>,
-    plans: &[&QueryPlan],
-    with_frontier: bool,
-) -> Result<Vec<ResultSet>, SkylineError> {
-    let rep = plans[0];
-    let catalog = ctx.catalog;
-    // Retired components keep their ids but leave the design space:
-    // explicit plan subspaces are filtered here, so cold runs and
-    // incremental repairs agree on the enumeration at every epoch.
-    let airframes = active_ids(rep.airframes().unwrap_or(ctx.airframes), |id| {
-        catalog.airframe_is_active(id)
-    });
-    let sensors = active_ids(rep.sensors().unwrap_or(ctx.sensors), |id| {
-        catalog.sensor_is_active(id)
-    });
-    let computes = active_ids(rep.computes().unwrap_or(ctx.computes), |id| {
-        catalog.compute_is_active(id)
-    });
-    let algorithms = active_ids(rep.algorithms().unwrap_or(ctx.algorithms), |id| {
-        catalog.algorithm_is_active(id)
-    });
-    let (airframes, sensors, computes, algorithms): (
-        &[AirframeId],
-        &[SensorId],
-        &[ComputeId],
-        &[AlgorithmId],
-    ) = (&airframes, &sensors, &computes, &algorithms);
-    let settings = rep.settings();
-
-    // Same nesting order as Engine::candidates, so a default plan
-    // enumerates identically to the classic exploration.
-    let mut candidates: Vec<IndexedCandidate> = Vec::new();
-    for (sensor_pos, &sensor) in sensors.iter().enumerate() {
-        for (compute_pos, &compute) in computes.iter().enumerate() {
-            for &algorithm in algorithms {
-                if let Some(throughput) = ctx.table.get(compute, algorithm) {
-                    candidates.push(IndexedCandidate {
-                        candidate: Candidate {
-                            sensor,
-                            compute,
-                            algorithm,
-                            throughput,
-                        },
-                        sensor_pos: sensor_pos as u32,
-                        compute_pos: compute_pos as u32,
-                    });
-                }
-            }
-        }
-    }
-    let uncharacterized = sensors.len() * computes.len() * algorithms.len() - candidates.len();
-
-    let battery = rep.battery().map(|id| catalog.battery_by_id(id));
-    let battery_mass = battery.map_or(0.0, |b| b.mass().get());
-    let battery_wh = battery.map(f1_components::Battery::energy_watt_hours);
-    let variants = build_variants(ctx, sensors, computes, airframes, settings, battery_mass)?;
-    let airframe_refs: Vec<&Airframe> = airframes
-        .iter()
-        .map(|&id| catalog.airframe_by_id(id))
-        .collect();
-
-    // The profile the batch's value cache is computed under: the first
-    // power-needing plan's. Plans with profile-independent objectives
-    // share the cache regardless; a power-needing plan with a different
-    // profile is an "odd" member and materializes its own rows.
-    let shared_profile = plans
-        .iter()
-        .find(|p| p.needs_power())
-        .map(|p| p.mission_profile());
-    let mut odd_count = 0usize;
-    let execs: Vec<PlanExec<'_>> = plans
-        .iter()
-        .map(|plan| {
-            let all_indices: Vec<usize> = plan.objectives().iter().map(|o| o.all_index()).collect();
-            let obj_mask = all_indices.iter().fold(0u8, |m, &i| m | (1 << i));
-            let shared = !plan.needs_power() || shared_profile == Some(plan.mission_profile());
-            let odd_pos = if shared {
-                usize::MAX
-            } else {
-                odd_count += 1;
-                odd_count - 1
-            };
-            PlanExec {
-                plan,
-                all_indices,
-                obj_mask,
-                shared,
-                odd_pos,
-            }
-        })
-        .collect();
-
-    // Airframe-major job order (then setting, then candidate) — the
-    // explore_all compatibility wrapper relies on this layout. Jobs are
-    // plain indices into that nesting; the fused pass writes each
-    // (outcome, rows) straight into its slot of the output buffer, so
-    // input order is output order.
-    let per_airframe = settings.len() * candidates.len();
-    let job_count = airframes.len() * per_airframe;
-    // job_count > 0 implies candidates and settings are non-empty, so
-    // the decode divisions are safe whenever a job exists.
-    let decode = |job: usize| {
-        (
-            job / per_airframe,
-            (job / candidates.len()) % settings.len(),
-            job % candidates.len(),
-        )
-    };
-    let evaluated = parallel_map_indices(job_count, ctx.chunk_size_for(job_count), |job| {
-        let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-        let indexed = &candidates[candidate_pos];
-        let parts = &variants[setting_pos];
-        let airframe: &Airframe = parts
-            .airframes
-            .as_ref()
-            .map_or(airframe_refs[airframe_pos], |a| &a[airframe_pos]);
-        let outcome = evaluate_parts_with(
-            ctx.heatsink,
-            ctx.saturation,
-            airframe,
-            &parts.sensors[indexed.sensor_pos as usize],
-            &parts.computes[indexed.compute_pos as usize],
-            indexed.candidate.throughput,
-            parts.extra_payload,
-        )?;
-        // Cheap per-plan constraint filter first: objective values are
-        // only derived for points at least one plan keeps.
-        let mut kept_mask = 0u64;
-        for (i, exec) in execs.iter().enumerate() {
-            if exec.plan.constraints().iter().all(|c| c.admits(&outcome)) {
-                kept_mask |= 1 << i;
-            }
-        }
-        let mut vals = [f64::NAN; MAX_OBJECTIVES];
-        let mut odd_rows: Vec<PlanRow> = Vec::new();
-        if kept_mask != 0 {
-            // One value-cache fill for the union of the keeping shared
-            // plans' objectives: the power model and every objective are
-            // computed once per job regardless of batch width.
-            let mut union_mask = 0u8;
-            for (i, exec) in execs.iter().enumerate() {
-                if exec.shared && kept_mask & (1 << i) != 0 {
-                    union_mask |= exec.obj_mask;
-                }
-            }
-            if union_mask != 0 {
-                fill_values(
-                    union_mask,
-                    &mut vals,
-                    airframe,
-                    &outcome,
-                    battery_wh,
-                    shared_profile.unwrap_or_default(),
-                )?;
-            }
-            if odd_count > 0 {
-                odd_rows = Vec::with_capacity(odd_count);
-                for (i, exec) in execs.iter().enumerate().filter(|(_, e)| !e.shared) {
-                    if kept_mask & (1 << i) != 0 {
-                        let mut own = [f64::NAN; MAX_OBJECTIVES];
-                        fill_values(
-                            exec.obj_mask,
-                            &mut own,
-                            airframe,
-                            &outcome,
-                            battery_wh,
-                            exec.plan.mission_profile(),
-                        )?;
-                        let mut row = [0.0; MAX_OBJECTIVES];
-                        for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                            *slot = own[idx];
-                        }
-                        odd_rows.push(PlanRow::Kept(row));
-                    } else {
-                        odd_rows.push(PlanRow::Dropped);
-                    }
-                }
-            }
-        }
-        Ok::<JobOut, SkylineError>((outcome, kept_mask, vals, odd_rows))
-    });
-    // Single-plan fast path (the `Engine::query().run()` /
-    // `Session::run` hot case): collect and assemble in one serial
-    // sweep over the evaluated buffer — no intermediate job vector, no
-    // second 10⁵-element traversal. Frontier sharing needs at least
-    // two plans, so nothing is lost.
-    if execs.len() == 1 {
-        let exec = &execs[0];
-        let k = exec.all_indices.len();
-        let mut points: Vec<QueryPoint> = Vec::with_capacity(evaluated.len());
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(evaluated.len()); k];
-        let mut dropped = 0usize;
-        let mut nonfinite = 0usize;
-        for (job, result) in evaluated.into_iter().enumerate() {
-            // Propagate the first evaluation error in enumeration order
-            // (unreachable for catalog parts and validated variants).
-            let (outcome, kept_mask, vals, _) = result?;
-            if kept_mask & 1 == 0 {
-                dropped += 1;
-                continue;
-            }
-            let mut row = [0.0; MAX_OBJECTIVES];
-            for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                *slot = vals[idx];
-            }
-            if outcome.feasible && row[..k].iter().any(|v| !v.is_finite()) {
-                nonfinite += 1;
-            }
-            let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-            points.push(QueryPoint {
-                airframe: airframes[airframe_pos],
-                candidate: candidates[candidate_pos].candidate,
-                setting: settings[setting_pos],
-                outcome,
-            });
-            for (column, &v) in columns.iter_mut().zip(&row[..k]) {
-                column.push(v);
-            }
-        }
-        let mut result = ResultSet::from_own_points(
-            exec.plan.objectives().to_vec(),
-            points,
-            columns,
-            Vec::new(),
-            uncharacterized,
-            dropped,
-            nonfinite,
-        );
-        if with_frontier {
-            let (keys, map) = result.minimized_keys();
-            result.frontier = frontier::pareto_min(k, &keys)
-                .into_iter()
-                .map(|i| map[i])
-                .collect();
-        }
-        return Ok(vec![result]);
-    }
-
-    // Multi-plan batch. Identify the shared-skyline sets up front (see
-    // `frontier_reducible`): one skyline over the union domain per
-    // distinct objective set with at least two reducible members; each
-    // member then intersects in O(n). The union of the members' kept
-    // sets is itself downward-closed, so restricting the domain to jobs
-    // some member kept is exact.
-    let mut share_sets: Vec<(u8, u64)> = Vec::new();
-    if with_frontier {
-        let mut counted: Vec<(u8, u64, usize)> = Vec::new();
-        for (i, exec) in execs.iter().enumerate() {
-            if exec.shared && frontier_reducible(exec.plan) {
-                match counted.iter_mut().find(|(mask, ..)| *mask == exec.obj_mask) {
-                    Some((_, bits, count)) => {
-                        *bits |= 1 << i;
-                        *count += 1;
-                    }
-                    None => counted.push((exec.obj_mask, 1 << i, 1)),
-                }
-            }
-        }
-        share_sets = counted
-            .into_iter()
-            .filter(|&(_, _, count)| count >= 2)
-            .map(|(mask, bits, _)| (mask, bits))
-            .collect();
-    }
-
-    // One fused sequential sweep over the evaluated buffer builds every
-    // member plan's points, columns and kept-job list plus each share
-    // set's skyline domain — the job buffer (tens of MB at 10⁵
-    // candidates) is streamed ONCE instead of once per plan, which is
-    // what makes an 8-plan batch land near the cost of one query.
-    struct PlanAccum {
-        columns: Vec<Vec<f64>>,
-        kept_jobs: Vec<u32>,
-        nonfinite: usize,
-    }
-    // Exact preallocation from a cheap mask pre-scan: growth
-    // reallocations would otherwise rewrite each plan's point and
-    // column buffers about once over, interleaved across the batch.
-    let mut kept_counts = vec![0usize; execs.len()];
-    let mut union_count = 0usize;
-    for (_, kept_mask, _, _) in evaluated.iter().flatten() {
-        union_count += usize::from(*kept_mask != 0);
-        for (i, count) in kept_counts.iter_mut().enumerate() {
-            *count += usize::from(kept_mask & (1 << i) != 0);
-        }
-    }
-    let mut accums: Vec<PlanAccum> = execs
-        .iter()
-        .zip(&kept_counts)
-        .map(|(exec, &kept)| PlanAccum {
-            columns: vec![Vec::with_capacity(kept); exec.all_indices.len()],
-            kept_jobs: Vec::with_capacity(kept),
-            nonfinite: 0,
-        })
-        .collect();
-    // The batch-shared point store: the points at least one member
-    // plan kept, built ONCE in enumeration order (plans hold indices
-    // into it), so the heavyweight point rows are never materialized
-    // per plan — and jobs every plan dropped are never retained.
-    let mut store: Vec<QueryPoint> = Vec::with_capacity(union_count);
-    // (keys, job map) per share set, filled during the sweep.
-    let mut domains: Vec<(Vec<f64>, Vec<u32>)> = share_sets
-        .iter()
-        .map(|_| (Vec::new(), Vec::new()))
-        .collect();
-    let job_total = evaluated.len();
-    for (job, result) in evaluated.into_iter().enumerate() {
-        // Propagate the first evaluation error in enumeration order
-        // (unreachable for catalog parts and validated variants).
-        let (outcome, kept_mask, vals, odd_rows) = result?;
-        if kept_mask == 0 {
-            continue;
-        }
-        let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-        store.push(QueryPoint {
-            airframe: airframes[airframe_pos],
-            candidate: candidates[candidate_pos].candidate,
-            setting: settings[setting_pos],
-            outcome,
-        });
-        let store_pos = (store.len() - 1) as u32;
-        for (plan_pos, (exec, accum)) in execs.iter().zip(&mut accums).enumerate() {
-            if kept_mask & (1 << plan_pos) == 0 {
-                continue;
-            }
-            let k = exec.all_indices.len();
-            let mut row = [0.0; MAX_OBJECTIVES];
-            if exec.shared {
-                for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                    *slot = vals[idx];
-                }
-            } else {
-                match &odd_rows[exec.odd_pos] {
-                    PlanRow::Kept(r) => row = *r,
-                    // analyze::allow(panic, reason = "the kept bit is only set in the same iteration that stored the odd row")
-                    PlanRow::Dropped => unreachable!("kept bit set for a dropped odd row"),
-                }
-            }
-            if outcome.feasible && row[..k].iter().any(|v| !v.is_finite()) {
-                accum.nonfinite += 1;
-            }
-            for (column, &v) in accum.columns.iter_mut().zip(&row[..k]) {
-                column.push(v);
-            }
-            accum.kept_jobs.push(store_pos);
-        }
-        if outcome.feasible {
-            'sets: for (&(mask, bits), (keys, map)) in share_sets.iter().zip(&mut domains) {
-                if kept_mask & bits == 0 {
-                    continue;
-                }
-                for (idx, v) in vals.iter().enumerate() {
-                    if mask & (1 << idx) != 0 && !v.is_finite() {
-                        continue 'sets;
-                    }
-                }
-                map.push(store_pos);
-                for (idx, objective) in Objective::ALL.iter().enumerate() {
-                    if mask & (1 << idx) != 0 {
-                        keys.push(if objective.maximize() {
-                            -vals[idx]
-                        } else {
-                            vals[idx]
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // One skyline per share set over its union domain.
-    let share_frontiers: Vec<Vec<u32>> = share_sets
-        .iter()
-        .zip(&domains)
-        .map(|(&(mask, _), (keys, map))| {
-            frontier::pareto_min(mask.count_ones() as usize, keys)
-                .iter()
-                .map(|&i| map[i])
-                .collect()
-        })
-        .collect();
-
-    // Per-plan frontiers: share-set members intersect (exact by the
-    // downward-closure argument), the rest run their own skyline — in
-    // parallel, since at 10⁵ points the d≥4 skyline of a non-reducible
-    // plan is the per-plan cost that would otherwise serialize a batch.
-    let frontiers: Vec<Vec<usize>> = if with_frontier {
-        parallel_map_indices(plans.len(), 1, |plan_pos| {
-            let exec = &execs[plan_pos];
-            let accum = &accums[plan_pos];
-            let bit = 1u64 << plan_pos;
-            let shared = share_sets
-                .iter()
-                .position(|&(mask, bits)| mask == exec.obj_mask && bits & bit != 0);
-            if let Some(set_pos) = shared {
-                // Intersect the shared skyline's store positions with
-                // this plan's kept list (both ascending), mapping to
-                // kept positions.
-                let kept_jobs = &accum.kept_jobs;
-                let mut out = Vec::new();
-                let mut ki = 0usize;
-                for &frontier_pos in &share_frontiers[set_pos] {
-                    while ki < kept_jobs.len() && kept_jobs[ki] < frontier_pos {
-                        ki += 1;
-                    }
-                    if ki < kept_jobs.len() && kept_jobs[ki] == frontier_pos {
-                        out.push(ki);
-                    }
-                }
-                out
-            } else {
-                let k = exec.all_indices.len();
-                let mut keys = Vec::new();
-                let mut map = Vec::new();
-                'points: for (i, &job) in accum.kept_jobs.iter().enumerate() {
-                    if !store[job as usize].outcome.feasible {
-                        continue;
-                    }
-                    for column in &accum.columns {
-                        if !column[i].is_finite() {
-                            continue 'points;
-                        }
-                    }
-                    map.push(i);
-                    keys.extend(
-                        accum
-                            .columns
-                            .iter()
-                            .zip(exec.plan.objectives())
-                            .map(|(c, o)| if o.maximize() { -c[i] } else { c[i] }),
-                    );
-                }
-                frontier::pareto_min(k, &keys)
-                    .into_iter()
-                    .map(|i| map[i])
-                    .collect()
-            }
-        })
-    } else {
-        vec![Vec::new(); plans.len()]
-    };
-
-    let store = Arc::new(store);
-    Ok(execs
-        .iter()
-        .zip(accums)
-        .zip(frontiers)
-        .map(|((exec, accum), frontier)| ResultSet {
-            objectives: exec.plan.objectives().to_vec(),
-            dropped: job_total - accum.kept_jobs.len(),
-            segments: vec![Arc::clone(&store)],
-            // A plan that kept every job reads the store directly —
-            // `points()` is then free, not a lazy copy.
-            kept: (accum.kept_jobs.len() != store.len()).then_some(
-                accum
-                    .kept_jobs
-                    .into_iter()
-                    .map(|index| PointRef { segment: 0, index })
-                    .collect(),
-            ),
-            points_cache: std::sync::OnceLock::new(),
-            columns: accum.columns,
-            frontier,
-            uncharacterized,
-            nonfinite: accum.nonfinite,
-            streamed: None,
-            sim: None,
-        })
-        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -2163,7 +1170,6 @@ pub struct Session {
     store: Arc<CatalogStore>,
     heatsink: HeatsinkModel,
     saturation: Saturation,
-    chunk_size: Option<usize>,
     states: Mutex<HashMap<u64, Arc<EpochState>>>,
     cache: Mutex<MemoCache>,
     hits: AtomicU64,
@@ -2195,7 +1201,6 @@ impl Session {
             store,
             heatsink: HeatsinkModel::paper_calibrated(),
             saturation: Saturation::DEFAULT,
-            chunk_size: None,
             states: Mutex::new(HashMap::new()),
             cache: Mutex::new(MemoCache::default()),
             hits: AtomicU64::new(0),
@@ -2219,19 +1224,6 @@ impl Session {
     #[must_use]
     pub fn with_tier2(mut self, evaluator: SharedTier2) -> Self {
         self.tier2 = Some(evaluator);
-        self
-    }
-
-    /// Pins the work-stealing chunk size, overriding the default
-    /// autotune (see [`crate::sweep::auto_chunk_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk_size);
         self
     }
 
@@ -2321,7 +1313,6 @@ impl Session {
             table: &state.table,
             heatsink: &self.heatsink,
             saturation: self.saturation,
-            chunk_size: self.chunk_size,
         }
     }
 
@@ -2387,7 +1378,7 @@ impl Session {
 
     /// Executes one plan at the store's **current** epoch: a memo-cache
     /// lookup by `(`[canonical key](QueryPlan::key)`, epoch)` first, one
-    /// fused pass on a miss. The cached `Arc` is returned as-is, so
+    /// sharded pass on a miss. The cached `Arc` is returned as-is, so
     /// repeated queries are pointer-identical — bit-identical objective
     /// rows and frontier indices by construction.
     ///
@@ -2446,7 +1437,7 @@ impl Session {
     /// 2. a cached result at an older epoch → **incrementally
     ///    repaired** across the catalog delta: survivors keep their
     ///    evaluated outcomes, retired candidates are masked out, only
-    ///    net-new/re-characterized candidates run through the fused
+    ///    net-new/re-characterized candidates run through the sharded
     ///    pass, and the frontier is merged — the result is
     ///    **bit-identical** to a cold run at the current epoch
     ///    (property-tested), and counted in [`CacheStats::repairs`];
@@ -2611,7 +1602,7 @@ impl Session {
         out
     }
 
-    /// Executes a batch of plans (at the current epoch) in as few fused
+    /// Executes a batch of plans (at the current epoch) in as few sharded
     /// passes as their evaluation signatures allow — plans over the same
     /// subspace, knob settings and battery share **one** enumeration +
     /// evaluation, with each plan's constraints and objective rows
@@ -2750,9 +1741,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Constraint, KnobSweep};
+    use crate::query::{Constraint, Knob, KnobSweep};
     use f1_components::names;
-    use f1_units::Watts;
+    use f1_units::{MetersPerSecond, Watts};
 
     fn session() -> Session {
         Session::new(Arc::new(Catalog::paper()))
@@ -2801,13 +1792,23 @@ mod tests {
     fn batch_shares_a_pass_and_matches_standalone() {
         let session = session();
         let caps = [20.0, 10.0, 5.0, 2.0];
+        // TDP-capped plans that rank TDP share one skyline; velocity
+        // floors on plans that do not rank velocity are not
+        // downward-closed, so those plans must not share one.
         let plans: Vec<QueryPlan> = caps
             .iter()
-            .map(|&w| {
-                QueryPlan::builder()
-                    .constraint(Constraint::MaxTotalTdp(Watts::new(w)))
-                    .build()
-                    .unwrap()
+            .flat_map(|&w| {
+                [
+                    QueryPlan::builder()
+                        .constraint(Constraint::MaxTotalTdp(Watts::new(w)))
+                        .build()
+                        .unwrap(),
+                    QueryPlan::builder()
+                        .objectives(&[Objective::TotalTdp, Objective::PayloadMass])
+                        .constraint(Constraint::MinVelocity(MetersPerSecond::new(w / 4.0)))
+                        .build()
+                        .unwrap(),
+                ]
             })
             .collect();
         let batch = session.run_batch(&plans).unwrap();
@@ -2956,9 +1957,6 @@ mod tests {
                 "{open}{close}"
             );
         }
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(1.5), "1.5");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`QueryPlan`] may declare [`SimObjective`]s
 //! ([`PlanBuilder::sim_objective`](crate::plan::PlanBuilder::sim_objective)).
-//! The analytic fused pass (tier 1) runs unchanged; afterwards the
+//! The analytic tier-1 pass runs unchanged; afterwards the
 //! session hands the result's **survivor set** — Pareto frontier ∪
 //! ranked top-k, capped by the plan's
 //! [`survivor_budget`](crate::plan::QueryPlan::survivor_budget) — to the
@@ -23,14 +23,13 @@
 use std::sync::Arc;
 
 use f1_components::Catalog;
-use serde::{Deserialize, Serialize};
 
 use crate::plan::{QueryPlan, SimObjective};
 use crate::query::Objective;
 use crate::session::ResultSet;
 
 /// One survivor's simulated objective values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRow {
     /// Stable candidate identity: a seed-grade hash of the survivor's
     /// catalog part ids and knob-setting position, independent of
@@ -48,7 +47,7 @@ pub struct SimRow {
 
 /// The tier-2 result attached to a [`ResultSet`]: simulated columns for
 /// the survivor set plus the analytic-vs-simulated verification report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimBlock {
     /// The plan's sim objectives, in declaration order.
     pub objectives: Vec<SimObjective>,
@@ -73,7 +72,7 @@ impl SimBlock {
 /// counterpart over the survivor set — the fig. 7 question ("does the
 /// cheap model order designs the way the simulator does?") asked of
 /// every tier-2 objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerificationEntry {
     /// The simulated objective.
     pub objective: SimObjective,
@@ -94,7 +93,7 @@ pub struct VerificationEntry {
 
 /// Per-objective [`VerificationEntry`]s, aligned with the plan's sim
 /// objectives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerificationReport {
     /// One entry per sim objective, in declaration order.
     pub entries: Vec<VerificationEntry>,

@@ -195,7 +195,7 @@ fn batch_of_eight_plans_shares_the_evaluation_pass_at_scale() {
         "the 8 plans must be distinct"
     );
 
-    // Baseline: one plan, one fused pass. Best of two fresh-session
+    // Baseline: one plan, one pass. Best of two fresh-session
     // runs, for both arms — the claim is about steady-state cost, not
     // first-touch page faults on a noisy box.
     let mut single = None;

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use f1_components::Catalog;
-use f1_skyline::plan::QueryPlan;
-use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
+use f1_skyline::plan::{KeepPoints, QueryPlan};
+use f1_skyline::query::{Constraint, Knob, KnobSweep, MissionProfile, Objective};
 use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::SkylineError;
 use f1_units::{Grams, MetersPerSecond, Watts};
@@ -119,20 +119,43 @@ proptest! {
 
     /// A shared-pass batch returns exactly what each plan produces when
     /// run standalone — points, columns, frontier, and the dropped /
-    /// nonfinite accounting.
+    /// nonfinite accounting — with mixed keep policies (keep-all and
+    /// frontier-only lanes in one pass), a lane with its own mission
+    /// profile, and (one case in four) more same-signature plans than
+    /// one pass has lanes.
     #[test]
-    fn batch_matches_standalone(seed in 0u64..1_000_000, extra in 2usize..6) {
+    fn batch_matches_standalone(seed in 0u64..1_000_000, extra in 2usize..6, wide in 0u32..4) {
         let catalog = Arc::new(Catalog::paper());
-        // `extra` co-passable plans (same sweep signature, different
-        // constraints/objectives) plus one with its own signature, so
-        // the batch spans more than one pass group.
+        // `extra` (or 66) co-passable plans — same sweep signature,
+        // different constraints/objectives/keep policies — plus one with
+        // its own signature, so the batch spans more than one pass group.
+        let extra = if wide == 0 { 66 } else { extra };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let shared_sweep = KnobSweep::new(Knob::TdpScale, vec![1.0, rng.gen_range(0.4f64..0.9)]);
+        let keeps = [KeepPoints::Auto, KeepPoints::All, KeepPoints::FrontierOnly];
+        let odd = MissionProfile {
+            figure_of_merit: 0.55,
+            parasitic_coeff: 0.12,
+            battery_reserve: 0.7,
+        };
         let mut plans: Vec<QueryPlan> = (0..extra)
             .map(|i| {
+                let mut objectives =
+                    random_plan(seed.wrapping_add(i as u64), false).objectives().to_vec();
+                // The first member fixes the pass's shared profile; the
+                // last one carries its own, so it fills its own energy.
+                if (i == 0 || i == extra - 1)
+                    && !objectives.contains(&Objective::MissionEnergyWhPerKm)
+                {
+                    objectives.push(Objective::MissionEnergyWhPerKm);
+                }
                 let mut builder = QueryPlan::builder()
-                    .objectives(random_plan(seed.wrapping_add(i as u64), false).objectives())
-                    .sweep(shared_sweep.clone());
+                    .objectives(&objectives)
+                    .sweep(shared_sweep.clone())
+                    .keep_points(keeps[rng.gen_range(0usize..keeps.len())]);
+                if i == extra - 1 {
+                    builder = builder.mission_profile(odd);
+                }
                 builder = builder.constraint(Constraint::MaxTotalTdp(Watts::new(
                     rng.gen_range(0.5f64..40.0),
                 )));

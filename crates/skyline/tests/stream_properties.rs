@@ -1,22 +1,30 @@
-//! Bit-identity of the sharded streaming executor: for every plan
-//! shape, a `KeepPoints::FrontierOnly` run must agree with the
-//! materializing fused pass **to the bit** — same frontier indices,
-//! bit-equal stored rows, the exact top-k ranking prefix, and identical
-//! dropped / uncharacterized / nonfinite accounting. Covers random
-//! plans over the paper catalog, multi-shard + multi-block synthetic
-//! spaces (candidate counts past `SHARD_SIZE`, sweeps and airframe
-//! subsets), the battery-backed endurance objective, the `Auto` mode
-//! decision, and delta `refresh` over streamed cache entries
-//! (untouched → same `Arc`, touched → exact cold re-stream).
+//! Bit-identity of the tier-1 executor's two collectors. Both are
+//! checked against an independent serial oracle — every candidate
+//! evaluated one by one through the public per-candidate API, objective
+//! values from the public mission model, the frontier from the naive
+//! all-pairs scan — and against each other: a `KeepPoints::FrontierOnly`
+//! run must agree with the `KeepPoints::All` run **to the bit** — same
+//! frontier indices, bit-equal stored rows, the exact top-k ranking
+//! prefix, and identical dropped / uncharacterized / nonfinite
+//! accounting. Covers random plans over the paper catalog and a
+//! synthesized subset, multi-shard + multi-block synthetic spaces
+//! (candidate counts past `SHARD_SIZE`, sweeps and airframe subsets),
+//! the battery-backed endurance objective, the `Auto` mode decision,
+//! and delta `refresh` over streamed cache entries (untouched → same
+//! `Arc`, touched → exact cold re-stream).
 
 use std::sync::Arc;
 
 use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
+use f1_model::mission::hover_endurance;
+use f1_skyline::dse::{Candidate, Engine};
+use f1_skyline::frontier::naive_pareto_min;
+use f1_skyline::mission::power_model_for_parts;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
-use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
+use f1_skyline::query::{Constraint, Knob, KnobSetting, KnobSweep, Objective, QueryPoint};
 use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::shard::{SHARD_SIZE, STREAM_TOP_K};
-use f1_units::{Hertz, MetersPerSecond, Watts};
+use f1_units::{Grams, Hertz, MetersPerSecond, Watts};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -132,6 +140,236 @@ fn assert_stream_matches(streamed: &ResultSet, full: &ResultSet) {
     }
 }
 
+/// The serial reference result of a sweep-free plan: points, objective
+/// rows, frontier and accounting, built only from public per-candidate
+/// APIs.
+struct Oracle {
+    points: Vec<QueryPoint>,
+    rows: Vec<Vec<f64>>,
+    frontier: Vec<usize>,
+    dropped: usize,
+    nonfinite: usize,
+    uncharacterized: usize,
+}
+
+fn oracle(catalog: &Catalog, plan: &QueryPlan) -> Oracle {
+    assert!(plan.sweeps().is_empty(), "the oracle evaluates stock parts");
+    let engine = Engine::new(catalog);
+    let table = catalog.throughput_table();
+    let airframes = plan.airframes().map_or_else(
+        || catalog.airframe_entries().map(|(id, _)| id).collect(),
+        <[_]>::to_vec,
+    );
+    let sensors = plan.sensors().map_or_else(
+        || catalog.sensor_entries().map(|(id, _)| id).collect(),
+        <[_]>::to_vec,
+    );
+    let computes = plan.computes().map_or_else(
+        || catalog.compute_entries().map(|(id, _)| id).collect(),
+        <[_]>::to_vec,
+    );
+    let algorithms = plan.algorithms().map_or_else(
+        || catalog.algorithm_entries().map(|(id, _)| id).collect(),
+        <[_]>::to_vec,
+    );
+    let mut candidates = Vec::new();
+    for &sensor in &sensors {
+        for &compute in &computes {
+            for &algorithm in &algorithms {
+                if let Some(throughput) = table.get(compute, algorithm) {
+                    candidates.push(Candidate {
+                        sensor,
+                        compute,
+                        algorithm,
+                        throughput,
+                    });
+                }
+            }
+        }
+    }
+    let battery = plan.battery().map(|id| catalog.battery_by_id(id));
+    let extra = Grams::new(battery.map_or(0.0, |b| b.mass().get()));
+    let profile = plan.mission_profile();
+    let mut out = Oracle {
+        points: Vec::new(),
+        rows: Vec::new(),
+        frontier: Vec::new(),
+        dropped: 0,
+        nonfinite: 0,
+        uncharacterized: sensors.len() * computes.len() * algorithms.len() - candidates.len(),
+    };
+    for &airframe in &airframes {
+        let frame = catalog.airframe_by_id(airframe);
+        for &candidate in &candidates {
+            let outcome = engine
+                .evaluate_parts_loaded(
+                    frame,
+                    catalog.sensor_by_id(candidate.sensor),
+                    catalog.compute_by_id(candidate.compute),
+                    candidate.throughput,
+                    extra,
+                )
+                .unwrap();
+            if !plan.constraints().iter().all(|c| c.admits(&outcome)) {
+                out.dropped += 1;
+                continue;
+            }
+            let power = outcome.feasible.then(|| {
+                power_model_for_parts(
+                    frame,
+                    frame.takeoff_mass(outcome.payload),
+                    outcome.total_tdp,
+                    profile.figure_of_merit,
+                    profile.parasitic_coeff,
+                )
+                .unwrap()
+            });
+            let v = outcome.velocity;
+            let row: Vec<f64> = plan
+                .objectives()
+                .iter()
+                .map(|objective| match objective {
+                    Objective::SafeVelocity => v.get(),
+                    Objective::TotalTdp => outcome.total_tdp.get(),
+                    Objective::PayloadMass => outcome.payload.get(),
+                    Objective::MissionEnergyWhPerKm => match &power {
+                        Some(p) if v.get() > 0.0 => {
+                            p.power_at(v).get() * (1000.0 / v.get()) / 3600.0
+                        }
+                        _ => f64::INFINITY,
+                    },
+                    Objective::HoverEnduranceMin => match &power {
+                        Some(p) => {
+                            let wh = battery.unwrap().energy_watt_hours();
+                            hover_endurance(p, wh, profile.battery_reserve)
+                                .unwrap()
+                                .get()
+                        }
+                        None => 0.0,
+                    },
+                    other => panic!("the oracle does not model {other:?}"),
+                })
+                .collect();
+            if outcome.feasible && row.iter().any(|x| !x.is_finite()) {
+                out.nonfinite += 1;
+            }
+            out.points.push(QueryPoint {
+                airframe,
+                candidate,
+                setting: KnobSetting::IDENTITY,
+                outcome,
+            });
+            out.rows.push(row);
+        }
+    }
+    let mut keys = Vec::new();
+    let mut map = Vec::new();
+    for (i, (point, row)) in out.points.iter().zip(&out.rows).enumerate() {
+        if point.outcome.feasible && row.iter().all(|x| x.is_finite()) {
+            map.push(i);
+            keys.extend(
+                row.iter()
+                    .zip(plan.objectives())
+                    .map(|(&x, o)| if o.maximize() { -x } else { x }),
+            );
+        }
+    }
+    out.frontier = naive_pareto_min(plan.objectives().len(), &keys)
+        .into_iter()
+        .map(|i| map[i])
+        .collect();
+    out
+}
+
+/// A session result equals the oracle to the bit: accounting, frontier,
+/// every stored point and row, and (streamed) the top-k ranking prefix.
+fn assert_matches_oracle(result: &ResultSet, oracle: &Oracle, maximize: bool) {
+    assert_eq!(result.len(), oracle.points.len(), "kept count");
+    assert_eq!(result.dropped(), oracle.dropped, "dropped count");
+    assert_eq!(result.nonfinite(), oracle.nonfinite, "nonfinite count");
+    assert_eq!(
+        result.uncharacterized(),
+        oracle.uncharacterized,
+        "uncharacterized count"
+    );
+    assert_eq!(result.frontier(), oracle.frontier, "frontier indices");
+    let stored: Vec<usize> = result
+        .stored_indices()
+        .map_or_else(|| (0..result.len()).collect(), <[_]>::to_vec);
+    for i in stored {
+        assert_eq!(result.point(i), &oracle.points[i], "point {i}");
+        let row = result.row(i);
+        assert!(
+            row.iter()
+                .zip(&oracle.rows[i])
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "row {i}: {row:?} vs {:?}",
+            oracle.rows[i]
+        );
+    }
+    if result.is_streamed() {
+        let mut ranked: Vec<usize> = (0..oracle.points.len()).collect();
+        let key = |i: usize| (oracle.points[i].outcome.feasible, oracle.rows[i][0]);
+        ranked.sort_by(|&a, &b| {
+            let ((fa, va), (fb, vb)) = (key(a), key(b));
+            fb.cmp(&fa)
+                .then_with(|| {
+                    if maximize {
+                        vb.total_cmp(&va)
+                    } else {
+                        va.total_cmp(&vb)
+                    }
+                })
+                .then_with(|| a.cmp(&b))
+        });
+        ranked.truncate(STREAM_TOP_K);
+        assert_eq!(result.ranked(), ranked, "top-k ranking");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random sweep-free plans under both collectors, over the paper
+    /// catalog and over a ≤ 3 456-candidate synthesized subset (two
+    /// airframes), with and without a battery and the endurance
+    /// objective: `Session::run` equals the serial oracle to the bit.
+    #[test]
+    fn session_matches_serial_oracle(seed in 0u64..1_000_000) {
+        for shape in 0u32..8 {
+            let keep = if shape & 1 == 0 { KeepPoints::All } else { KeepPoints::FrontierOnly };
+            let synth = shape & 2 != 0;
+            let catalog = if synth { Catalog::synthesize(seed, 12) } else { Catalog::paper() };
+            let base = random_plan(seed, false, keep);
+            let mut objectives = base.objectives().to_vec();
+            let mut builder = QueryPlan::builder().keep_points(keep);
+            for &constraint in base.constraints() {
+                builder = builder.constraint(constraint);
+            }
+            if shape & 4 != 0 {
+                objectives.push(Objective::HoverEnduranceMin);
+                let pick = seed as usize % catalog.battery_count();
+                let (battery, _) = catalog.battery_entries().nth(pick).unwrap();
+                builder = builder.battery(battery);
+            }
+            if synth {
+                let airframes: Vec<_> = catalog
+                    .airframe_entries()
+                    .skip((seed % 10) as usize)
+                    .take(2)
+                    .map(|(id, _)| id)
+                    .collect();
+                builder = builder.airframes(&airframes);
+            }
+            let plan = builder.objectives(&objectives).build().unwrap();
+            let expected = oracle(&catalog, &plan);
+            let result = Session::new(Arc::new(catalog)).run(&plan).unwrap();
+            prop_assert_eq!(result.is_streamed(), keep == KeepPoints::FrontierOnly);
+            assert_matches_oracle(&result, &expected, objectives[0].maximize());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -169,8 +407,8 @@ proptest! {
 
 /// Shard and block boundaries: a synthetic space whose per-block
 /// candidate count (41³ = 68 921) exceeds `SHARD_SIZE`, enumerated over
-/// 2 airframes × 2 knob settings — 8 shards across 4 blocks — agrees
-/// with the materializing pass bit-for-bit.
+/// 2 airframes × 2 knob settings — shards crossing block boundaries —
+/// streams bit-identically to the keep-all collector.
 #[test]
 fn multi_shard_multi_block_space_streams_bit_identically() {
     const N: usize = 41;
@@ -206,10 +444,9 @@ fn multi_shard_multi_block_space_streams_bit_identically() {
     assert_stream_matches(&streamed, &full);
 }
 
-/// The battery-backed endurance objective streams identically: the
-/// deferred per-pair power/endurance hoist must reproduce the fused
-/// pass's `fill_values` construction (including the zero-endurance
-/// infeasible convention) bit-for-bit.
+/// The battery-backed endurance objective streams identically to the
+/// keep-all collector, including the zero-endurance infeasible
+/// convention (the serial oracle covers it against `hover_endurance`).
 #[test]
 fn endurance_objective_streams_bit_identically() {
     let catalog = Catalog::paper();

@@ -125,7 +125,7 @@ fn ten_million_candidate_query_streams_in_about_a_second() {
         );
         // ~1 s on the reference box; 5 s leaves headroom for slow CI
         // runners without letting the claim regress to the ~10 s a
-        // materializing pass plus its allocations would cost.
+        // keep-all collector plus its allocations would cost.
         assert!(
             elapsed.as_secs_f64() < 5.0,
             "10^7-candidate streamed query took {elapsed:?} (acceptance: ~1 s, ceiling 5 s)"

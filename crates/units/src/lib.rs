@@ -23,8 +23,8 @@
 //! assert!(d.get() > 0.033 && d.get() < 0.034);
 //! ```
 //!
-//! All quantity types are `Copy`, ordered, hashable via [`total_bits`], and
-//! serde-serializable as transparent `f64` values.
+//! All quantity types are `Copy`, ordered and hashable via
+//! [`total_bits`].
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 //! [`total_bits`]: crate::Quantity::total_bits

@@ -9,8 +9,6 @@ macro_rules! quantity {
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[derive(serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
         pub struct $name(f64);
 
         impl $name {

@@ -164,10 +164,7 @@ fn dse_winner_dominates_case_study_builds() {
     }
 }
 
-/// Serde round-trip of the whole catalog through JSON-ish (here: the
-/// serde data model via `serde_test`-free manual check using `serde`'s
-/// derive through a string format is unavailable, so round-trip through
-/// the in-memory clone instead and compare).
+/// A cloned catalog equals its original and is independent of it.
 #[test]
 fn catalog_clone_and_equality() {
     let a = Catalog::paper();
