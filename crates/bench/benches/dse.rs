@@ -4,7 +4,9 @@
 //! O(n²) all-pairs Pareto scan against the O(n log n) sort-and-sweep
 //! skyline at 10³/10⁴/10⁵ candidates, and — since the compile/execute
 //! split — the `plan_reuse` group: one cold pass vs. a session
-//! plan-cache hit vs. an 8-plan shared-pass batch — plus the
+//! plan-cache hit vs. an 8-plan shared-pass batch — the
+//! `budget_sweep` group running a 64-plan TDP budget sweep as one
+//! batch, plus the
 //! `stream_shards` group pitting the frontier-only collector against
 //! the keep-all one at 10⁵/10⁶ candidates, and the `two_tier`
 //! group measuring the simulation tier's overhead against the analytic
@@ -200,6 +202,35 @@ fn bench_plan_reuse(c: &mut Criterion) {
     g.finish();
 }
 
+/// A Fig. 12-style TDP budget sweep at full pass width: 64 co-shaped
+/// frontier-only 4-objective plans with caps stepped by 0.5 W over one
+/// 10⁵-candidate airframe (two shards), run as one batch — one shared
+/// pass whose cross-shard merge runs once for the shared skyline, not
+/// once per plan.
+fn bench_budget_sweep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dse_budget_sweep");
+    let catalog = Arc::new(Catalog::synthesize(42, 47));
+    let airframe = catalog.airframe_entries().next().map(|(id, _)| id).unwrap();
+    let plans: Vec<QueryPlan> = (1..=64)
+        .map(|step| {
+            QueryPlan::builder()
+                .airframes(&[airframe])
+                .objectives(&Objective::ALL[..4])
+                .constraint(Constraint::MaxTotalTdp(Watts::new(0.5 * f64::from(step))))
+                .keep_points(KeepPoints::FrontierOnly)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    g.bench_function("batch64_frontier_only/1e5", |b| {
+        b.iter(|| {
+            let session = Session::new(Arc::clone(&catalog));
+            black_box(session.run_batch(&plans).unwrap())
+        })
+    });
+    g.finish();
+}
+
 /// The versioned-store serving story: rolling catalog updates. Each
 /// iteration publishes a one-pair throughput patch as a new epoch and
 /// brings the 4-objective result forward — `incremental_refresh`
@@ -348,6 +379,7 @@ criterion_group!(
     bench_synthetic_frontier,
     bench_synthetic_query,
     bench_plan_reuse,
+    bench_budget_sweep,
     bench_delta_repair,
     bench_stream_shards,
     bench_two_tier,

@@ -38,21 +38,30 @@
 //! lane's top-k never buffers more than 2K candidates. After the
 //! reduction only the slab rows some survivor references are kept.
 //!
-//! Both collectors share one **exact** serial merge:
+//! Both collectors share one **exact** serial merge, run once per share
+//! rather than once per lane:
 //!
 //! * frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)), so one
-//!   [`frontier::pareto_min`] over the concatenated shard frontiers is
-//!   the global frontier. Global kept indices are a prefix sum over the
+//!   [`frontier::pareto_min`] over a share's shard skylines, concatenated
+//!   in shard order, is the share's global skyline. A lane's global
+//!   frontier is its local frontier rows on that skyline — the
+//!   downward-closed identity again, frontier(kept) = frontier(⋃ members'
+//!   kept) ∩ kept; a lane of its own share is unchanged by it. A
+//!   one-shard pass's local skylines are already global, so it runs no
+//!   second skyline. Global kept indices are a prefix sum over the
 //!   per-shard kept counts, and survivors are emitted ascending.
 //! * The rank order (feasible first, then the primary objective, ties by
 //!   enumeration index) restricted to one shard is the shard's local
 //!   order, so the global top-K is the best K of the per-shard top-Ks.
+//! * A frontier-only lane re-derives the points it stores; each one is
+//!   derived once per pass however many lanes store it.
 //!
 //! `tests/stream_properties.rs` checks both collectors against a serial
 //! per-candidate oracle; `tests/stream_scale.rs` pins the 10⁷ target.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use f1_components::{
@@ -642,6 +651,10 @@ struct ShardOut {
     store: Vec<QueryPoint>,
     lanes: Vec<LaneOut>,
     retained: Slab,
+    /// Per retained row, bit `s` set while the row is on share `s`'s
+    /// skyline: the shard-local one until the merge narrows it to the
+    /// global one.
+    on_skyline: Vec<u64>,
 }
 
 /// `count` empty value columns of capacity `rows` each (`vec![v; n]`
@@ -813,6 +826,12 @@ impl<'a> Pass<'a> {
         let mut outs = parallel_map_indices(shards, 1, |shard| self.eval_shard(shard))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
+        // A one-shard pass's local skylines are already the global ones.
+        if outs.len() > 1 {
+            for s in 0..self.shares.len() {
+                self.merge_share(s, &mut outs);
+            }
+        }
         // The keep-all lanes' point store: the rows at least one of them
         // kept, in enumeration order, built once for the whole pass.
         let mut store_offsets = Vec::with_capacity(outs.len());
@@ -822,9 +841,43 @@ impl<'a> Pass<'a> {
             store.extend(std::mem::take(&mut out.store));
         }
         let store = Arc::new(store);
+        // Stored points of frontier-only lanes, derived once per pass. A
+        // lone frontier-only lane derives straight into its result: a
+        // cache would only double its points' memory.
+        let streamed = self.lanes.iter().filter(|lane| lane.stream).count();
+        let mut points = (streamed > 1).then(HashMap::new);
         (0..self.lanes.len())
-            .map(|li| self.merge_lane(li, &outs, &store, &store_offsets))
+            .map(|li| self.merge_lane(li, &outs, &store, &store_offsets, &mut points))
             .collect()
+    }
+
+    /// Narrows share `s`'s skyline bits from the shard-local skylines to
+    /// the global one. frontier(S ∪ D) = frontier(frontier(S) ∪
+    /// frontier(D)), so one skyline over the shard skylines is the global
+    /// skyline of the share's domain (the rows any member kept).
+    // analyze::allow(indexing, scope = "fn", reason = "s < shares.len(); members hold (shard, row) positions read from the outs they index")
+    fn merge_share(&self, s: usize, outs: &mut [ShardOut]) {
+        let bit = 1u64 << s;
+        let share_keys = &self.shares[s].keys;
+        let mut keys = Keys::default();
+        keys.reset(share_keys.len());
+        let mut members: Vec<(usize, usize)> = Vec::new();
+        for (shard, out) in outs.iter().enumerate() {
+            let cols = out.retained.key_columns(share_keys);
+            for (r, &on) in out.on_skyline.iter().enumerate() {
+                if on & bit != 0 {
+                    keys.push(&cols, r, members.len() as u32);
+                    members.push((shard, r));
+                }
+            }
+        }
+        for &(shard, r) in &members {
+            outs[shard].on_skyline[r] &= !bit;
+        }
+        for m in keys.skyline() {
+            let (shard, r) = members[m as usize];
+            outs[shard].on_skyline[r] |= bit;
+        }
     }
 
     /// The (possibly knob-scaled) airframe and parts of one
@@ -1045,8 +1098,9 @@ impl<'a> Pass<'a> {
 
         // Keep only the slab rows some survivor references (a few per
         // lane, however many jobs the shard held), renumbering the
-        // survivors to match.
-        let mut lanes = self.reduce(&slab);
+        // survivors to match. Every share skyline row is on some member's
+        // frontier, so it is retained too.
+        let (skylines, mut lanes) = self.reduce(&slab);
         let mut rows: Vec<u32> = lanes
             .iter()
             .flat_map(|out| out.frontier.iter().chain(&out.topk).map(|s| s.row))
@@ -1057,25 +1111,34 @@ impl<'a> Pass<'a> {
         for &r in &rows {
             retained.copy_row(&slab, r as usize);
         }
+        let position = |row: u32| rows.partition_point(|&r| r < row);
         for survivor in lanes
             .iter_mut()
             .flat_map(|out| out.frontier.iter_mut().chain(out.topk.iter_mut()))
         {
-            survivor.row = rows.partition_point(|&r| r < survivor.row) as u32;
+            survivor.row = position(survivor.row) as u32;
+        }
+        let mut on_skyline = vec![0u64; rows.len()];
+        for (s, skyline) in skylines.iter().enumerate() {
+            for &row in skyline {
+                on_skyline[position(row)] |= 1 << s;
+            }
         }
         Ok(ShardOut {
             start,
             store,
             lanes,
             retained,
+            on_skyline,
         })
     }
 
-    /// Reduces one shard's slab per lane: accounting, the local frontier
-    /// (the lane's rows on its share's skyline), and either every kept
-    /// row (keep-all) or the local top-k (frontier-only).
+    /// Reduces one shard's slab: one skyline per share (ascending slab
+    /// rows), then per lane the accounting, the local frontier (the
+    /// lane's rows on its share's skyline), and either every kept row
+    /// (keep-all) or the local top-k (frontier-only).
     // analyze::allow(indexing, scope = "fn", reason = "rows index the slab they enumerate; lane columns index slab rows")
-    fn reduce(&self, slab: &Slab) -> Vec<LaneOut> {
+    fn reduce(&self, slab: &Slab) -> (Vec<Vec<u32>>, Vec<LaneOut>) {
         // One skyline per share over the feasible, finite rows any member
         // kept (empty without a frontier: there are no shares then).
         let mut keys = Keys::default();
@@ -1177,10 +1240,11 @@ impl<'a> Pass<'a> {
             }
             outs.push(out);
         }
-        outs
+        (skylines, outs)
     }
 
-    /// Merges one lane's shard reductions into its result.
+    /// Merges one lane's shard reductions into its result, deriving the
+    /// stored points no earlier lane derived into `points` (if caching).
     // analyze::allow(indexing, scope = "fn", reason = "li < lanes.len() == every shard's lane count; survivor rows index their shard's retained slab")
     fn merge_lane(
         &self,
@@ -1188,6 +1252,7 @@ impl<'a> Pass<'a> {
         outs: &[ShardOut],
         store: &Arc<Vec<QueryPoint>>,
         store_offsets: &[usize],
+        points: &mut Option<HashMap<(usize, usize), QueryPoint>>,
     ) -> Result<ResultSet, SkylineError> {
         let lane = &self.lanes[li];
         let objectives = lane.plan.objectives().to_vec();
@@ -1217,20 +1282,14 @@ impl<'a> Pass<'a> {
             .map(|out| out.retained.key_columns(&lane.keys))
             .collect();
 
-        // frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)): one
-        // skyline over the concatenated shard frontiers. Members are in
-        // shard (= enumeration) order and the skyline keeps ascending
-        // positions, so the global indices come out ascending.
-        let members: Vec<(usize, usize, usize)> = survivors(|l| &l.frontier).collect();
-        let mut keys = Keys::default();
-        keys.reset(k);
-        for (m, &(_, shard, r)) in members.iter().enumerate() {
-            keys.push(&cols[shard], r, m as u32);
-        }
-        let frontier: Vec<(usize, usize, usize)> = keys
-            .skyline()
-            .into_iter()
-            .map(|m| members[m as usize])
+        // The lane's local frontier rows still on its share's global
+        // skyline: frontier(kept) = frontier(share domain) ∩ kept for a
+        // downward-closed lane, and a lane of its own is its whole share.
+        // Survivors come in shard (= enumeration) order, so the global
+        // indices come out ascending.
+        let bit = lane.share.map_or(0, |s| 1u64 << s);
+        let frontier: Vec<(usize, usize, usize)> = survivors(|l| &l.frontier)
+            .filter(|&(_, shard, r)| outs[shard].on_skyline[r] & bit != 0)
             .collect();
         let frontier_global: Vec<usize> = frontier.iter().map(|&(g, ..)| g).collect();
 
@@ -1278,10 +1337,15 @@ impl<'a> Pass<'a> {
         stored.sort_unstable_by_key(|&(g, ..)| g);
         stored.dedup_by_key(|&mut (g, ..)| g);
         // Collected with an exact capacity: results stay cached.
-        let mut points = Vec::with_capacity(stored.len());
+        let mut lane_points = Vec::with_capacity(stored.len());
         for &(_, shard, r) in &stored {
-            let out = &outs[shard];
-            points.push(self.point_of(out.start + out.retained.jobs[r] as usize)?);
+            let job = outs[shard].start + outs[shard].retained.jobs[r] as usize;
+            let point = match points.as_mut().map(|points| points.entry((shard, r))) {
+                Some(Entry::Occupied(known)) => *known.get(),
+                Some(Entry::Vacant(slot)) => *slot.insert(self.point_of(job)?),
+                None => self.point_of(job)?,
+            };
+            lane_points.push(point);
         }
         let mut columns = columns_with_capacity(k, stored.len());
         for &(_, shard, r) in &stored {
@@ -1296,7 +1360,7 @@ impl<'a> Pass<'a> {
         };
         Ok(ResultSet::from_streamed(
             objectives,
-            points,
+            lane_points,
             columns,
             frontier_global,
             meta,

@@ -16,13 +16,19 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
+/// Workers for `items` inputs: at most the machine's parallelism, which
+/// is resolved once per process (`available_parallelism` re-reads cgroup
+/// limits on every call).
 fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.max(1))
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
+    cores.min(items.max(1))
 }
 
 /// Applies `f` to every input on a pool of scoped worker threads,
@@ -86,8 +92,13 @@ where
 {
     assert!(chunk_size > 0, "chunk size must be positive");
     let chunks = count.div_ceil(chunk_size);
-    let workers = worker_count(count).min(chunks.max(1));
-    if workers <= 1 || count < 2 {
+    // One chunk runs inline without probing the worker count.
+    let workers = if chunks > 1 {
+        worker_count(count).min(chunks)
+    } else {
+        1
+    };
+    if workers <= 1 {
         return (0..count).map(f).collect();
     }
 
@@ -268,6 +279,13 @@ mod tests {
         assert_eq!(by_input, by_index);
         assert_eq!(parallel_map_indices(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map_indices(1, 4, |i| i + 9), vec![9]);
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = parallel_map_indices(5, 8, |_| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 5]);
     }
 
     #[test]

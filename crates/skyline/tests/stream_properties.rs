@@ -18,10 +18,12 @@ use std::sync::Arc;
 use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
 use f1_model::mission::hover_endurance;
 use f1_skyline::dse::{Candidate, Engine};
-use f1_skyline::frontier::naive_pareto_min;
+use f1_skyline::frontier::{naive_pareto_min, pareto_min};
 use f1_skyline::mission::power_model_for_parts;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
-use f1_skyline::query::{Constraint, Knob, KnobSetting, KnobSweep, Objective, QueryPoint};
+use f1_skyline::query::{
+    Constraint, Knob, KnobSetting, KnobSweep, MissionProfile, Objective, QueryPoint,
+};
 use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::shard::{SHARD_SIZE, STREAM_TOP_K};
 use f1_units::{Grams, Hertz, MetersPerSecond, Watts};
@@ -442,6 +444,113 @@ fn multi_shard_multi_block_space_streams_bit_identically() {
     let streamed = session.run(&build(KeepPoints::FrontierOnly)).unwrap();
     assert_eq!(full.len() + full.dropped(), 2 * 2 * N * N * N);
     assert_stream_matches(&streamed, &full);
+}
+
+/// A budget sweep over a space of several shards, run as one batch:
+/// nested TDP caps under both collectors (one shared cross-shard skyline),
+/// beside a velocity-floored lane ranking TDP and payload (not
+/// downward-closed, so a share of its own) and a lane with its own
+/// mission profile. Every member is bit-identical to a standalone cold
+/// run and to its keep-all twin, whose frontier is one skyline over all
+/// of its kept rows, computed without any shard merge.
+#[test]
+fn multi_shard_budget_sweep_batch_matches_standalone() {
+    const N: usize = 41;
+    let catalog = Arc::new(Catalog::synthesize(11, N));
+    let airframes: Vec<_> = catalog
+        .airframe_entries()
+        .take(2)
+        .map(|(id, _)| id)
+        .collect();
+    let four = [
+        Objective::SafeVelocity,
+        Objective::TotalTdp,
+        Objective::PayloadMass,
+        Objective::MissionEnergyWhPerKm,
+    ];
+    let odd = MissionProfile {
+        figure_of_merit: 0.55,
+        parasitic_coeff: 0.12,
+        battery_reserve: 0.7,
+    };
+    // (objectives, constraint, own mission profile, keep policy)
+    let tdp = |cap: f64| Constraint::MaxTotalTdp(Watts::new(cap));
+    let (all, frontier_only) = (KeepPoints::All, KeepPoints::FrontierOnly);
+    let specs: [(&[Objective], Constraint, bool, KeepPoints); 8] = [
+        (&four, tdp(1.0), false, frontier_only),
+        (&four, tdp(1.5), false, all),
+        (&four, tdp(2.0), false, frontier_only),
+        (&four, tdp(3.0), false, all),
+        (&four, tdp(5.0), false, frontier_only),
+        (&four, tdp(8.0), false, all),
+        (
+            &four[1..3],
+            Constraint::MinVelocity(MetersPerSecond::new(2.0)),
+            false,
+            frontier_only,
+        ),
+        (&four, tdp(25.0), true, frontier_only),
+    ];
+    let build =
+        |&(objectives, constraint, own, _): &(&[Objective], Constraint, bool, KeepPoints),
+         keep: KeepPoints| {
+            let builder = QueryPlan::builder()
+                .airframes(&airframes)
+                .objectives(objectives)
+                .constraint(constraint)
+                .keep_points(keep);
+            let builder = if own {
+                builder.mission_profile(odd)
+            } else {
+                builder
+            };
+            builder.build().unwrap()
+        };
+    let plans: Vec<QueryPlan> = specs.iter().map(|spec| build(spec, spec.3)).collect();
+    let batch = Session::new(Arc::clone(&catalog))
+        .run_batch(&plans)
+        .unwrap();
+    for ((spec, plan), batched) in specs.iter().zip(&plans).zip(&batch) {
+        let standalone = Session::new(Arc::clone(&catalog)).run(plan).unwrap();
+        assert_eq!(**batched, *standalone, "{}", plan.key());
+        assert_eq!(batched.frontier(), standalone.frontier());
+        assert_eq!(batched.dropped(), standalone.dropped());
+        assert_eq!(batched.nonfinite(), standalone.nonfinite());
+        for pos in 0..plan.objectives().len() {
+            let (a, b) = (batched.column(pos), standalone.column(pos));
+            assert_eq!(a.len(), b.len());
+            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+
+        let full = Session::new(Arc::clone(&catalog))
+            .run(&build(spec, all))
+            .unwrap();
+        assert_eq!(full.len() + full.dropped(), 2 * N * N * N);
+        if batched.is_streamed() {
+            assert_stream_matches(batched, &full);
+        } else {
+            assert_eq!(**batched, *full);
+        }
+        let k = plan.objectives().len();
+        let eligible: Vec<usize> = (0..full.len())
+            .filter(|&i| {
+                full.point(i).outcome.feasible && (0..k).all(|pos| full.column(pos)[i].is_finite())
+            })
+            .collect();
+        let mut keys = Vec::with_capacity(eligible.len() * k);
+        for &i in &eligible {
+            for (pos, objective) in plan.objectives().iter().enumerate() {
+                let v = full.column(pos)[i];
+                keys.push(if objective.maximize() { -v } else { v });
+            }
+        }
+        let expected: Vec<usize> = pareto_min(k, &keys)
+            .into_iter()
+            .map(|m| eligible[m])
+            .collect();
+        assert!(!expected.is_empty(), "{}", plan.key());
+        assert_eq!(full.frontier(), &expected[..], "{}", plan.key());
+    }
 }
 
 /// The battery-backed endurance objective streams identically to the
