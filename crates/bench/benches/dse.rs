@@ -1,10 +1,9 @@
-//! Benchmarks for the ID-interned, batched design-space exploration
-//! engine: full-catalog `explore_all`, single-airframe exploration, raw
-//! candidate enumeration, the synthetic-catalog group comparing the old
+//! Benchmarks for design-space exploration through query plans on a
+//! session: cold runs of the default plan over the full paper catalog
+//! and over one airframe, the synthetic-catalog group comparing the old
 //! O(n²) all-pairs Pareto scan against the O(n log n) sort-and-sweep
-//! skyline at 10³/10⁴/10⁵ candidates, and — since the compile/execute
-//! split — the `plan_reuse` group: one cold pass vs. a session
-//! plan-cache hit vs. an 8-plan shared-pass batch — the
+//! skyline at 10³/10⁴/10⁵ candidates, the `plan_reuse` group: one cold
+//! pass vs. a session plan-cache hit vs. an 8-plan shared-pass batch — the
 //! `budget_sweep` group running a 64-plan TDP budget sweep as one
 //! batch, plus the
 //! `stream_shards` group pitting the frontier-only collector against
@@ -19,47 +18,33 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
-use f1_skyline::dse::Engine;
 use f1_skyline::frontier;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Constraint, Objective};
 use f1_skyline::session::Session;
 use f1_units::Watts;
 
-fn bench_explore_all(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    c.bench_function("dse_explore_all_full_catalog", |b| {
-        b.iter(|| black_box(engine.explore_all().unwrap()))
+/// The default 3-objective plan over the whole paper catalog, run cold:
+/// a fresh session per iteration, so each one pays the epoch-state
+/// derivation and the full sharded pass with its frontier.
+fn bench_full_catalog(c: &mut Criterion) {
+    let catalog = Arc::new(Catalog::paper());
+    let plan = QueryPlan::builder().build().unwrap();
+    c.bench_function("dse_full_catalog_cold_run", |b| {
+        b.iter(|| black_box(Session::new(Arc::clone(&catalog)).run(&plan).unwrap()))
     });
 }
 
-fn bench_explore_single(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
+/// The same plan restricted to the AscTec Pelican, run cold.
+fn bench_single_airframe(c: &mut Criterion) {
+    let catalog = Arc::new(Catalog::paper());
     let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
+    let plan = QueryPlan::builder().airframes(&[pelican]).build().unwrap();
     let mut g = c.benchmark_group("dse_single_airframe");
-    g.bench_function("engine_ids", |b| {
-        b.iter(|| black_box(engine.explore_airframe(pelican).unwrap()))
+    g.bench_function("cold_session_run", |b| {
+        b.iter(|| black_box(Session::new(Arc::clone(&catalog)).run(&plan).unwrap()))
     });
     g.finish();
-}
-
-fn bench_candidate_enumeration(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    c.bench_function("dse_candidate_enumeration", |b| {
-        b.iter(|| black_box(engine.candidates().count()))
-    });
-}
-
-fn bench_pareto(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let exploration = engine.explore_all().unwrap();
-    c.bench_function("dse_pareto_frontier", |b| {
-        b.iter(|| black_box(exploration.pareto_frontier()))
-    });
 }
 
 /// The minimized key buffer of a synthesized catalog's single-airframe
@@ -69,23 +54,27 @@ fn bench_pareto(c: &mut Criterion) {
 /// endurance objective requires one).
 fn synthetic_keys(n_per_family: usize, dims: usize) -> Vec<f64> {
     let objectives = &Objective::ALL[..dims];
-    let catalog = Catalog::synthesize(42, n_per_family);
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::synthesize(42, n_per_family));
     let airframe = catalog
         .airframe_entries()
         .next()
         .map(|(id, _)| id)
         .expect("synthesized catalog has airframes");
-    let mut query = engine.query().airframes(&[airframe]).objectives(objectives);
+    let mut builder = QueryPlan::builder()
+        .airframes(&[airframe])
+        .objectives(objectives);
     if objectives.contains(&Objective::HoverEnduranceMin) {
         let battery = catalog
             .battery_entries()
             .next()
             .map(|(id, _)| id)
             .expect("synthesized catalog has batteries");
-        query = query.battery(battery);
+        builder = builder.battery(battery);
     }
-    let result = query.run().expect("synthetic query evaluates");
+    let plan = builder.build().expect("synthetic plan is valid");
+    let result = Session::new(catalog)
+        .run(&plan)
+        .expect("synthetic query evaluates");
     result.minimized_keys().0
 }
 
@@ -125,33 +114,31 @@ fn bench_synthetic_frontier(c: &mut Criterion) {
     g.finish();
 }
 
-/// End-to-end queries over synthesized catalogs: the fused batched
-/// pass (evaluation + constraints + objective extraction) plus the
-/// frontier, at 4 objectives and — with a mounted battery — 5.
+/// End-to-end cold queries over synthesized catalogs, on a fresh
+/// session per iteration: the fused batched pass (evaluation +
+/// constraints + objective extraction) plus the frontier, at 4
+/// objectives and — with a mounted battery — 5.
 fn bench_synthetic_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("dse_synthetic_query");
     for dims in [4usize, 5] {
         for (label, n_per_family) in [("1e3", 10usize), ("1e4", 22), ("1e5", 47)] {
-            let catalog = Catalog::synthesize(42, n_per_family);
-            let engine = Engine::new(&catalog);
+            let catalog = Arc::new(Catalog::synthesize(42, n_per_family));
             let airframe = catalog.airframe_entries().next().map(|(id, _)| id).unwrap();
             let battery = catalog.battery_entries().next().map(|(id, _)| id).unwrap();
+            let mut builder = QueryPlan::builder()
+                .airframes(&[airframe])
+                .objectives(&Objective::ALL[..dims]);
+            if dims == 5 {
+                builder = builder.battery(battery);
+            }
+            let plan = builder.build().unwrap();
             let group = if dims == 4 {
                 "four_objectives"
             } else {
                 "five_objectives"
             };
             g.bench_function(format!("{group}/{label}"), |b| {
-                b.iter(|| {
-                    let mut query = engine
-                        .query()
-                        .airframes(&[airframe])
-                        .objectives(&Objective::ALL[..dims]);
-                    if dims == 5 {
-                        query = query.battery(battery);
-                    }
-                    black_box(query.run().unwrap())
-                })
+                b.iter(|| black_box(Session::new(Arc::clone(&catalog)).run(&plan).unwrap()))
             });
         }
     }
@@ -372,10 +359,8 @@ fn bench_two_tier(c: &mut Criterion) {
 
 criterion_group!(
     dse,
-    bench_explore_all,
-    bench_explore_single,
-    bench_candidate_enumeration,
-    bench_pareto,
+    bench_full_catalog,
+    bench_single_airframe,
     bench_synthetic_frontier,
     bench_synthetic_query,
     bench_plan_reuse,

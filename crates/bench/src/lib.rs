@@ -11,10 +11,10 @@
 //! * `ablations` — design-choice ablations DESIGN.md calls out
 //!   (exact vs linearized roofline, drag-free vs drag-aware stopping,
 //!   serial vs parallel sweeps).
-//! * `dse` — the ID-interned design-space exploration engine:
-//!   full-catalog `explore_all`, single-airframe exploration vs the
-//!   string-keyed compatibility wrapper, candidate enumeration, and the
-//!   Pareto frontier.
+//! * `dse` — design-space exploration through query plans on a
+//!   session: cold full-catalog and single-airframe runs, the Pareto
+//!   skylines, plan-cache reuse, shared-pass batches, delta repair,
+//!   streamed collectors and the two-tier simulation overhead.
 //!
 //! Run with `cargo bench --workspace`. Absolute timings are
 //! machine-dependent; the interesting output of the `figures` target is

@@ -1,12 +1,15 @@
 //! Fig. 11b — §VI-A onboard-compute selection: Intel NCS vs Nvidia AGX on
 //! a DJI Spark running DroNet, plus the AGX 30 W → 15 W TDP what-if.
 
+use std::sync::Arc;
+
 use f1_components::{names, Catalog};
 use f1_model::roofline::Roofline;
 use f1_plot::Chart;
 use f1_skyline::chart::{roofline_chart, OperatingPoint};
-use f1_skyline::dse::{Engine, Outcome};
+use f1_skyline::dse::Outcome;
 use f1_skyline::query::{Knob, KnobSweep};
+use f1_skyline::{QueryPlan, Session};
 use f1_units::Hertz;
 
 use crate::report::{num, Table};
@@ -37,7 +40,7 @@ pub struct Fig11 {
     pub choices: Vec<ComputeChoice>,
 }
 
-/// Runs the §VI-A study as one DSE query: the Spark's RGB camera and
+/// Runs the §VI-A study as one DSE query plan: the Spark's RGB camera and
 /// DroNet over the {NCS, AGX} compute choice, with the paper's TDP
 /// what-if expressed as a [`Knob::TdpScale`] sweep at {1, ½} — the
 /// halved-TDP AGX keeps its 230 FPS but sheds heatsink mass.
@@ -46,10 +49,8 @@ pub struct Fig11 {
 ///
 /// Propagates catalog errors (none for the paper catalog).
 pub fn run() -> Result<Fig11, Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let result = engine
-        .query()
+    let catalog = Arc::new(Catalog::paper());
+    let plan = QueryPlan::builder()
         .airframes(&[catalog.airframe_id(names::DJI_SPARK)?])
         .sensors(&[catalog.sensor_id(names::RGB_60)?])
         .computes(&[
@@ -58,7 +59,8 @@ pub fn run() -> Result<Fig11, Box<dyn std::error::Error>> {
         ])
         .algorithms(&[catalog.algorithm_id(names::DRONET)?])
         .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-        .run()?;
+        .build()?;
+    let result = Session::new(Arc::clone(&catalog)).run(&plan)?;
 
     let agx = catalog.compute_id(names::AGX)?;
     let ncs = catalog.compute_id(names::NCS)?;

@@ -2,13 +2,14 @@
 //! Pelican across the platform × algorithm grid, with compute-bound gaps
 //! and physics-bound surpluses.
 
+use std::sync::Arc;
+
 use f1_components::{names, Catalog};
 use f1_model::roofline::Bound;
 use f1_plot::Chart;
 use f1_skyline::chart::{roofline_chart, OperatingPoint};
-use f1_skyline::dse::Engine;
 use f1_skyline::query::QueryPoint;
-use f1_skyline::UavSystem;
+use f1_skyline::{QueryPlan, Session, UavSystem};
 use f1_units::Hertz;
 
 use crate::report::{num, Table};
@@ -58,7 +59,7 @@ const RASPI_EXTRAS: [(&str, &str); 2] = [
     (names::RAS_PI4, names::CAD2RL),
 ];
 
-/// Runs the §VI-D grid: one batched DSE query per UAV (its default
+/// Runs the §VI-D grid: one DSE query plan per UAV (its default
 /// sensor over the plotted platforms × algorithms), then picks the
 /// paper's plotted cells from the evaluated subspace.
 ///
@@ -66,8 +67,8 @@ const RASPI_EXTRAS: [(&str, &str); 2] = [
 ///
 /// Propagates catalog errors (none for the paper catalog).
 pub fn run() -> Result<Fig15, Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::paper());
+    let session = Session::new(Arc::clone(&catalog));
     let platforms = [names::NCS, names::TX2, names::RAS_PI4];
     let algorithms = [names::DRONET, names::TRAILNET, names::VGG16, names::CAD2RL];
 
@@ -81,13 +82,13 @@ pub fn run() -> Result<Fig15, Box<dyn std::error::Error>> {
         .collect::<Result<Vec<_>, _>>()?;
     let mut cells = Vec::new();
     for uav in [names::DJI_SPARK, names::ASCTEC_PELICAN] {
-        let result = engine
-            .query()
+        let plan = QueryPlan::builder()
             .airframes(&[catalog.airframe_id(uav)?])
             .sensors(&[catalog.sensor_id(default_sensor(uav))?])
             .computes(&compute_ids)
             .algorithms(&algorithm_ids)
-            .run()?;
+            .build()?;
+        let result = session.run(&plan)?;
         // The query evaluates every characterized pair of the subspace;
         // the figure plots the paper's cells, in the paper's order.
         for (platform, algorithm) in COMBOS.iter().chain(RASPI_EXTRAS.iter()) {

@@ -79,6 +79,17 @@ fn unknown_plan_key_is_a_plan_key_error_not_a_dropped_connection() {
     let (ok, body) = c.request("query definitely.not.a.key").expect("response");
     assert!(!ok);
     assert!(body.contains("\"kind\": \"plan_key\""), "{body}");
+    // A well-formed key with a non-finite constraint value is a parse
+    // error too, not a handler panic reported as `internal`.
+    for value in ["NaN", "inf", "-inf"] {
+        let key = format!(
+            "f1.plan.v1|o=velocity,tdp|c=max_tdp={value}|s=|af=*|sn=*|cp=*|al=*|b=-\
+             |mp=0.65,0.08,0.8|kp=auto"
+        );
+        let (ok, body) = c.request(&format!("query {key}")).expect("response");
+        assert!(!ok);
+        assert!(body.contains("\"kind\": \"plan_key\""), "{value}: {body}");
+    }
     // A plan that parses but references ids outside this catalog is a
     // distinct, pre-admission error: it never joins a batch.
     let alien = QueryPlan::builder()

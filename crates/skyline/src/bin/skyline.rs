@@ -67,6 +67,15 @@ struct Args {
     deltas: Vec<String>,
 }
 
+/// Parses a flag's number; NaN and infinities are usage errors, not
+/// values the unit types would panic on.
+fn finite(v: &str, what: &str) -> Result<f64, String> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("bad {what} {v:?} (expected a finite number)"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         airframe: None,
@@ -98,11 +107,7 @@ fn parse_args() -> Result<Args, String> {
             "--algorithm" => args.algorithm = Some(value("--algorithm")?),
             "--battery" => args.battery = Some(value("--battery")?),
             "--mission" => {
-                let v = value("--mission")?;
-                args.mission_m = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad mission distance {v:?}"))?,
-                );
+                args.mission_m = Some(finite(&value("--mission")?, "mission distance")?);
             }
             "--list" => args.list = true,
             "--chart" => args.chart = true,
@@ -139,11 +144,7 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<Vec<_>, _>>()?;
             }
             "--max-tdp" => {
-                let v = value("--max-tdp")?;
-                args.max_tdp = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --max-tdp watts {v:?}"))?,
-                );
+                args.max_tdp = Some(finite(&value("--max-tdp")?, "--max-tdp watts")?);
             }
             "--synth" => {
                 let v = value("--synth")?;

@@ -15,15 +15,17 @@
 //!   characterization studies (payload sweeps, TDP sweeps, full-system
 //!   matrices).
 //! * [`chart`] — roofline chart construction on top of `f1-plot`.
-//! * [`dse`] — automated design-space exploration over the catalog (the
-//!   paper's conclusion proposes exactly this use).
-//! * [`query`] — the composable DSE query API: typed objectives,
-//!   constraints and Table II knob sweeps compiled onto the engine.
-//! * [`plan`] / [`session`] — the compile/execute split for serving:
-//!   owned `Send + Sync` [`QueryPlan`]s with canonical cache keys,
-//!   executed (and batched into one sharded pass, and memoized) by
-//!   a [`Session`] over an `Arc<Catalog>`, producing columnar
-//!   [`ResultSet`]s with bounded-heap top-k and paged iteration.
+//! * [`dse`] — the evaluation kernel of automated design-space
+//!   exploration over the catalog (the paper's conclusion proposes
+//!   exactly this use): candidates, outcomes and the serial
+//!   per-candidate reference [`dse::evaluate_parts`].
+//! * [`query`] — the DSE query vocabulary: typed objectives,
+//!   constraints and Table II knob sweeps.
+//! * [`plan`] / [`session`] — the one query surface: owned
+//!   `Send + Sync` [`QueryPlan`]s with canonical cache keys, executed
+//!   (and batched into one sharded pass, and memoized) by a [`Session`]
+//!   over an `Arc<Catalog>`, producing columnar [`ResultSet`]s with
+//!   bounded-heap top-k and paged iteration.
 //! * [`shard`] — the one tier-1 executor: every same-signature group of
 //!   plans runs as one sharded pass with a lane per plan, evaluated over
 //!   struct-of-arrays slabs; [`KeepPoints`] picks each lane's collector

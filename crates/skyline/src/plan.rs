@@ -1,17 +1,14 @@
 //! Owned, executable query plans — the **compile** half of the
 //! compile/execute split.
 //!
-//! [`Engine::query()`](crate::dse::Engine::query) builds a query that
-//! borrows the engine and its catalog, which is fine for one-shot
-//! exploration but useless for a *service*: a borrowed query cannot be
-//! cached, sent to another thread, or replayed against a shared catalog.
-//! A [`QueryPlan`] is the owned, `Send + Sync` compilation of the same
-//! request: objectives, constraints, Table II knob sweeps (expanded and
-//! validated at build time) and an optional subspace restriction, with
-//! **no engine or catalog lifetime** anywhere in the type. Plans execute
-//! against a [`Session`](crate::Session), which runs batches of them in
-//! one sharded pass and memoizes results under each plan's
-//! [canonical key](QueryPlan::key).
+//! A [`QueryPlan`] is the owned, `Send + Sync` compilation of one
+//! design-space question: objectives, constraints, Table II knob sweeps
+//! (expanded and validated at build time) and an optional subspace
+//! restriction, with **no catalog lifetime** anywhere in the type — so
+//! it can be cached, sent to another thread, or replayed against a
+//! shared catalog. Plans execute against a [`Session`](crate::Session),
+//! which runs batches of them in one sharded pass and memoizes results
+//! under each plan's [canonical key](QueryPlan::key).
 //!
 //! ```
 //! use f1_skyline::plan::QueryPlan;
@@ -31,7 +28,7 @@
 //! ```
 
 use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
-use f1_units::{Grams, MetersPerSecond, Watts};
+use f1_units::{Grams, MetersPerSecond, UnitError, Watts};
 
 use crate::query::{
     Constraint, Knob, KnobSetting, KnobSweep, MissionProfile, Objective, DEFAULT_OBJECTIVES,
@@ -182,8 +179,8 @@ impl SimObjective {
 
 /// An owned, validated, executable design-space query.
 ///
-/// Built with [`QueryPlan::builder`] (or compiled from a borrowed query
-/// via [`Query::plan`](crate::query::Query::plan)); executed with
+/// Built with [`QueryPlan::builder`] (or parsed back from its
+/// [`key`](Self::key) with [`from_key`](Self::from_key)); executed with
 /// [`Session::run`](crate::Session::run) or batched through
 /// [`Session::run_batch`](crate::Session::run_batch). A plan is plain
 /// data — `Send + Sync`, cloneable, hashable through its canonical
@@ -440,10 +437,19 @@ fn parse_constraint(tok: &str) -> Result<Constraint, SkylineError> {
         reason: format!("bad constraint {tok:?}"),
     })?;
     let v = parse_float(value, "constraint")?;
+    let bad_value = |e: UnitError| SkylineError::PlanKey {
+        reason: format!("bad constraint {tok:?}: {e}"),
+    };
     match name {
-        "min_velocity" => Ok(Constraint::MinVelocity(MetersPerSecond::new(v))),
-        "max_tdp" => Ok(Constraint::MaxTotalTdp(Watts::new(v))),
-        "max_payload" => Ok(Constraint::MaxPayload(Grams::new(v))),
+        "min_velocity" => Ok(Constraint::MinVelocity(
+            MetersPerSecond::try_new(v).map_err(bad_value)?,
+        )),
+        "max_tdp" => Ok(Constraint::MaxTotalTdp(
+            Watts::try_new(v).map_err(bad_value)?,
+        )),
+        "max_payload" => Ok(Constraint::MaxPayload(
+            Grams::try_new(v).map_err(bad_value)?,
+        )),
         other => Err(SkylineError::PlanKey {
             reason: format!("unknown constraint {other:?}"),
         }),
@@ -645,10 +651,9 @@ fn parse_key(key: &str) -> Result<PlanBuilder, SkylineError> {
     Ok(builder)
 }
 
-/// Builder for [`QueryPlan`]. Mirrors the borrowed
-/// [`Query`](crate::query::Query) builder method-for-method, but
-/// finishes with a fallible [`build`](Self::build) that front-loads
-/// every catalog-independent validation.
+/// Builder for [`QueryPlan`]. Finishes with a fallible
+/// [`build`](Self::build) that front-loads every catalog-independent
+/// validation.
 #[derive(Debug, Clone, Default)]
 pub struct PlanBuilder {
     objectives: Vec<Objective>,
@@ -1041,6 +1046,12 @@ mod tests {
             "f1.plan.v1|o=velocity|c=|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto", // missing t2
             "f1.plan.v1|o=warp|c=|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-", // bad objective
             "f1.plan.v1|o=velocity|c=max_tdp=x|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
+            // Non-finite constraint values parse as floats but are not
+            // unit values; keys arrive over the wire, so no panic.
+            "f1.plan.v1|o=velocity,tdp|c=max_tdp=NaN|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto",
+            "f1.plan.v1|o=velocity|c=max_tdp=inf|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
+            "f1.plan.v1|o=velocity|c=min_velocity=NaN|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
+            "f1.plan.v1|o=velocity|c=max_payload=-inf|s=|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
             "f1.plan.v1|o=velocity|c=|s=warp:1|af=*|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
             "f1.plan.v1|o=velocity|c=|s=|af=1,zz|sn=*|cp=*|al=*|b=-|mp=0.65,0.08,0.8|kp=auto|t2=-",
             "f1.plan.v1|o=velocity|c=|s=|af=*|sn=*|cp=*|al=*|b=?|mp=0.65,0.08,0.8|kp=auto|t2=-",
@@ -1212,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn build_validates_like_the_borrowed_query() {
+    fn build_rejects_invalid_requests() {
         assert!(matches!(
             QueryPlan::builder()
                 .objective(Objective::HoverEnduranceMin)

@@ -1,30 +1,25 @@
-//! The composable DSE query API: typed objectives, constraints and knob
-//! sweeps over the exploration engine.
+//! The query vocabulary of design-space exploration: typed objectives,
+//! constraints and Table II knob sweeps.
 //!
-//! [`Engine::explore_all`](crate::dse::Engine::explore_all) hardcodes one
-//! objective set — the (safe velocity, TDP, payload) Pareto. This module
-//! makes the exploration *expressible*: a [`Query`] names what to
-//! optimize ([`Objective`]), what to filter ([`Constraint`]), and which
-//! continuous Table II knob ranges to sweep around each discrete
-//! candidate ([`KnobSweep`]).
-//!
-//! Since the compile/execute split, [`Query`] is a thin borrowed facade:
-//! [`Query::run`] compiles the request into an owned
-//! [`QueryPlan`] and executes it through the
-//! same sharded tier-1 executor that backs [`Session`](crate::Session) —
-//! use [`Query::plan`] to keep the compiled plan and hand it to a
-//! session for caching, batching and multi-threaded serving.
+//! A design question names what to optimize ([`Objective`]), what to
+//! filter ([`Constraint`]), and which continuous Table II knob ranges to
+//! sweep around each discrete candidate ([`KnobSweep`]).
+//! [`QueryPlan::builder`](crate::QueryPlan::builder) compiles it into an
+//! owned [`QueryPlan`](crate::QueryPlan), and a
+//! [`Session`](crate::Session) executes it through the sharded tier-1
+//! executor — one query surface for the CLI, the server, the figure
+//! regenerators and the tests alike. Every evaluated build comes back
+//! as a [`QueryPoint`].
 //!
 //! ```
-//! use f1_components::{names, Catalog};
-//! use f1_skyline::dse::Engine;
+//! use std::sync::Arc;
+//! use f1_components::Catalog;
 //! use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
+//! use f1_skyline::{QueryPlan, Session};
 //! use f1_units::Watts;
 //!
-//! let catalog = Catalog::paper();
-//! let engine = Engine::new(&catalog);
-//! let result = engine
-//!     .query()
+//! let session = Session::new(Arc::new(Catalog::paper()));
+//! let plan = QueryPlan::builder()
 //!     .objectives(&[
 //!         Objective::SafeVelocity,
 //!         Objective::TotalTdp,
@@ -33,21 +28,17 @@
 //!     ])
 //!     .constraint(Constraint::MaxTotalTdp(Watts::new(20.0)))
 //!     .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-//!     .run()?;
+//!     .build()?;
+//! let result = session.run(&plan)?;
 //! assert!(!result.frontier().is_empty());
 //! # Ok::<(), f1_skyline::SkylineError>(())
 //! ```
 
-use std::collections::BTreeMap;
-
-use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
+use f1_components::AirframeId;
 use f1_model::ModelError;
 use f1_units::{Grams, MetersPerSecond, Watts};
 
-use crate::dse::{Candidate, DseOutcome, DseResult, Engine, Outcome};
-use crate::plan::{PlanBuilder, QueryPlan};
-use crate::session::ResultSet;
-use crate::shard::run_plans;
+use crate::dse::{Candidate, Outcome};
 use crate::SkylineError;
 
 pub use crate::mission::SENSOR_STACK_POWER_W;
@@ -55,8 +46,9 @@ pub use crate::mission::SENSOR_STACK_POWER_W;
 /// One optimization axis of a query.
 ///
 /// The first objective of a query is its **primary** objective: ranked
-/// reports ([`ResultSet::ranked`], [`Engine::describe_query`]) sort by
-/// it. Frontiers treat all objectives simultaneously.
+/// reports ([`ResultSet::ranked`](crate::ResultSet::ranked),
+/// [`ResultSet::top_k`](crate::ResultSet::top_k)) sort by it. Frontiers
+/// treat all objectives simultaneously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Objective {
@@ -155,7 +147,7 @@ impl std::str::FromStr for Objective {
 
 /// A hard filter applied to every evaluated candidate before ranking and
 /// frontier computation. Filtered candidates are counted in
-/// [`ResultSet::dropped`], not returned.
+/// [`ResultSet::dropped`](crate::ResultSet::dropped), not returned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Constraint {
@@ -487,287 +479,37 @@ pub struct QueryPoint {
 /// the per-row objective values at a stack array.
 pub(crate) const MAX_OBJECTIVES: usize = Objective::ALL.len();
 
-/// A builder-style, composable design-space query over an [`Engine`].
-///
-/// Construct with [`Engine::query`]; see the [module docs](self) for a
-/// full example. With no explicit objectives, constraints or sweeps, a
-/// query reproduces the engine's classic 3-objective exploration —
-/// [`Engine::explore_all`] is literally a default query.
-///
-/// A `Query` borrows the engine; [`Query::plan`] compiles the identical
-/// request into an owned [`QueryPlan`] for the
-/// [`Session`](crate::Session) serving path.
-#[derive(Debug, Clone)]
-pub struct Query<'e, 'c> {
-    engine: &'e Engine<'c>,
-    builder: PlanBuilder,
-}
-
-/// The objectives a query with none specified runs under — the engine's
-/// classic (velocity ↑, TDP ↓, payload ↓) Pareto.
+/// The objectives a plan with none specified runs under — the classic
+/// (velocity ↑, TDP ↓, payload ↓) Pareto.
 pub const DEFAULT_OBJECTIVES: [Objective; 3] = [
     Objective::SafeVelocity,
     Objective::TotalTdp,
     Objective::PayloadMass,
 ];
 
-impl<'e, 'c> Query<'e, 'c> {
-    pub(crate) fn new(engine: &'e Engine<'c>) -> Self {
-        Self {
-            engine,
-            builder: QueryPlan::builder(),
-        }
-    }
-
-    /// Appends one objective (the first appended is the primary).
-    #[must_use]
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.builder = self.builder.objective(objective);
-        self
-    }
-
-    /// Replaces the objective list (first entry is the primary).
-    #[must_use]
-    pub fn objectives(mut self, objectives: &[Objective]) -> Self {
-        self.builder = self.builder.objectives(objectives);
-        self
-    }
-
-    /// Adds a hard constraint.
-    #[must_use]
-    pub fn constraint(mut self, constraint: Constraint) -> Self {
-        self.builder = self.builder.constraint(constraint);
-        self
-    }
-
-    /// Adds a knob sweep (cartesian product with any earlier sweeps).
-    #[must_use]
-    pub fn sweep(mut self, sweep: KnobSweep) -> Self {
-        self.builder = self.builder.sweep(sweep);
-        self
-    }
-
-    /// Restricts the query to these airframes (default: all).
-    #[must_use]
-    pub fn airframes(mut self, ids: &[AirframeId]) -> Self {
-        self.builder = self.builder.airframes(ids);
-        self
-    }
-
-    /// Restricts the query to these sensors (default: all).
-    #[must_use]
-    pub fn sensors(mut self, ids: &[SensorId]) -> Self {
-        self.builder = self.builder.sensors(ids);
-        self
-    }
-
-    /// Restricts the query to these compute platforms (default: all).
-    #[must_use]
-    pub fn computes(mut self, ids: &[ComputeId]) -> Self {
-        self.builder = self.builder.computes(ids);
-        self
-    }
-
-    /// Restricts the query to these algorithms (default: all).
-    #[must_use]
-    pub fn algorithms(mut self, ids: &[AlgorithmId]) -> Self {
-        self.builder = self.builder.algorithms(ids);
-        self
-    }
-
-    /// Mounts a battery on every candidate: its mass joins the payload,
-    /// and [`Objective::HoverEnduranceMin`] draws on its capacity.
-    #[must_use]
-    pub fn battery(mut self, id: BatteryId) -> Self {
-        self.builder = self.builder.battery(id);
-        self
-    }
-
-    /// Overrides the power-model parameters of the energy objectives.
-    #[must_use]
-    pub fn mission_profile(mut self, profile: MissionProfile) -> Self {
-        self.builder = self.builder.mission_profile(profile);
-        self
-    }
-
-    /// Sets the point-materialization policy (see
-    /// [`KeepPoints`](crate::KeepPoints)): `Auto` (default) streams
-    /// only past [`crate::shard::STREAM_AUTO_THRESHOLD`] candidates,
-    /// `All` always materializes, `FrontierOnly` always streams.
-    #[must_use]
-    pub fn keep_points(mut self, keep_points: crate::KeepPoints) -> Self {
-        self.builder = self.builder.keep_points(keep_points);
-        self
-    }
-
-    /// The objectives this query will run under (the default set if none
-    /// were specified, deduplicated preserving first occurrence).
-    #[must_use]
-    pub fn resolved_objectives(&self) -> Vec<Objective> {
-        self.builder.resolved_objectives()
-    }
-
-    /// Compiles this query into an owned, engine-free [`QueryPlan`] —
-    /// the value to cache, batch and serve through a
-    /// [`Session`](crate::Session).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`PlanBuilder::build`].
-    pub fn plan(&self) -> Result<QueryPlan, SkylineError> {
-        self.builder.clone().build()
-    }
-
-    /// Compiles and runs the query: one sharded pass over
-    /// every airframe × knob setting × characterized candidate —
-    /// evaluation, constraint filtering **and** objective extraction all
-    /// happen inside the pass — followed by the O(n log n) frontier.
-    ///
-    /// This is a compatibility wrapper over [`plan`](Self::plan) plus
-    /// the tier-1 executor that backs
-    /// [`Session::run`](crate::Session::run); unlike a session it
-    /// caches nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SkylineError::IncompleteSystem`] when
-    /// [`Objective::HoverEnduranceMin`] is requested without a
-    /// [`battery`](Self::battery), [`SkylineError::Model`] for invalid
-    /// sweep values or mission-profile parameters, and
-    /// [`SkylineError::KnobVariant`] — naming the offending knob — when
-    /// a sweep value produces an out-of-domain component variant. All of
-    /// these surface **before** the parallel pass; an evaluation error
-    /// raised mid-pass (unreachable for catalog parts and validated
-    /// variants) is propagated deterministically in enumeration order.
-    /// Infeasible builds are outcomes, not errors.
-    pub fn run(&self) -> Result<ResultSet, SkylineError> {
-        self.run_impl(true)
-    }
-
-    /// [`run`](Self::run) without the frontier pass, for the classic
-    /// `explore_*` wrappers that only re-rank points and would discard
-    /// it ([`Exploration::pareto_frontier`](crate::dse::Exploration)
-    /// computes its own on demand). The returned result's `frontier()`
-    /// is empty.
-    pub(crate) fn run_without_frontier(&self) -> Result<ResultSet, SkylineError> {
-        self.run_impl(false)
-    }
-
-    fn run_impl(&self, with_frontier: bool) -> Result<ResultSet, SkylineError> {
-        let plan = self.plan()?;
-        let mut results = run_plans(&self.engine.pass_context(), &[&plan], with_frontier)?;
-        Ok(results.pop().expect("one plan in, one result out"))
-    }
-}
-
-impl<'c> Engine<'c> {
-    /// Starts a composable design-space query over this engine's catalog.
-    /// See the [`query`](self) module docs for the full API.
-    #[must_use]
-    pub fn query(&self) -> Query<'_, 'c> {
-        Query::new(self)
-    }
-
-    /// Renders a query result into the string-keyed [`DseResult`]
-    /// compatibility view, one per airframe (in airframe-name order),
-    /// each ranked by the query's **primary objective** — feasible
-    /// first, ties in enumeration order.
-    #[must_use]
-    pub fn describe_query(&self, result: &ResultSet) -> Vec<DseResult> {
-        let catalog = self.catalog();
-        let mut groups: BTreeMap<AirframeId, Vec<usize>> = BTreeMap::new();
-        for index in result.ranked() {
-            groups
-                .entry(result.point(index).airframe)
-                .or_default()
-                .push(index);
-        }
-        self.airframe_ids()
-            .iter()
-            .filter_map(|id| groups.get(id).map(|indices| (id, indices)))
-            .map(|(&airframe, indices)| DseResult {
-                airframe: catalog.airframe_by_id(airframe).name().to_owned(),
-                ranked: indices
-                    .iter()
-                    .map(|&i| {
-                        let point = result.point(i);
-                        DseOutcome {
-                            sensor: catalog
-                                .sensor_by_id(point.candidate.sensor)
-                                .name()
-                                .to_owned(),
-                            compute: catalog
-                                .compute_by_id(point.candidate.compute)
-                                .name()
-                                .to_owned(),
-                            algorithm: catalog
-                                .algorithm_by_id(point.candidate.algorithm)
-                                .name()
-                                .to_owned(),
-                            velocity: point.outcome.velocity,
-                            bound: point.outcome.bound,
-                            feasible: point.outcome.feasible,
-                        }
-                    })
-                    .collect(),
-                uncharacterized: result.uncharacterized(),
-                // Per-airframe slice of the query-wide count, so the
-                // reports sum back to `result.nonfinite()`.
-                nonfinite: indices
-                    .iter()
-                    .filter(|&&i| {
-                        result.point(i).outcome.feasible
-                            && (0..result.objectives().len())
-                                .any(|p| !result.value(i, p).is_finite())
-                    })
-                    .count(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::plan::KeepPoints;
+    use crate::dse::evaluate_parts;
+    use crate::plan::{KeepPoints, PlanBuilder, QueryPlan};
+    use crate::session::{ResultSet, Session};
     use f1_components::{names, Catalog};
 
-    #[test]
-    fn default_query_matches_classic_exploration() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine.query().run().unwrap();
-        let classic = engine.explore_all().unwrap();
-        assert_eq!(result.points().len(), classic.evaluated_count());
-        assert_eq!(result.objectives(), DEFAULT_OBJECTIVES);
-        // Identical frontier membership (order differs: the classic API
-        // reports in (airframe, rank) order, the query in enumeration
-        // order).
-        let classic_frontier = classic.pareto_frontier();
-        assert_eq!(result.frontier().len(), classic_frontier.len());
-        for point in result.frontier_points() {
-            assert!(classic_frontier.iter().any(|p| {
-                p.airframe == point.airframe
-                    && *p.evaluated
-                        == crate::dse::Evaluated {
-                            candidate: point.candidate,
-                            outcome: point.outcome,
-                        }
-            }));
-        }
+    /// Builds a plan and runs it on a fresh session over the paper
+    /// catalog.
+    fn run(builder: PlanBuilder) -> Result<Arc<ResultSet>, SkylineError> {
+        Session::new(Arc::new(Catalog::paper())).run(&builder.build()?)
     }
 
     #[test]
     fn constraints_filter_and_count() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let all = engine.query().run().unwrap();
-        let constrained = engine
-            .query()
+        let all = run(QueryPlan::builder()).unwrap();
+        let constrained = run(QueryPlan::builder()
             .constraint(Constraint::MaxTotalTdp(Watts::new(5.0)))
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         assert!(constrained.points().len() < all.points().len());
         assert_eq!(
             constrained.points().len() + constrained.dropped(),
@@ -781,13 +523,10 @@ mod tests {
 
     #[test]
     fn min_velocity_drops_infeasible() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
-            .constraint(Constraint::MinVelocity(MetersPerSecond::new(0.1)))
-            .run()
-            .unwrap();
+        let result = run(
+            QueryPlan::builder().constraint(Constraint::MinVelocity(MetersPerSecond::new(0.1)))
+        )
+        .unwrap();
         assert!(result.points().iter().all(|p| p.outcome.feasible));
     }
 
@@ -796,34 +535,31 @@ mod tests {
         // The §VI-A AGX 30 W → 15 W study as a knob sweep: identical
         // arithmetic to the hand-built evaluate_parts path.
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let spark = catalog.airframe_id(names::DJI_SPARK).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[spark])
             .sensors(&[catalog.sensor_id(names::RGB_60).unwrap()])
             .computes(&[catalog.compute_id(names::AGX).unwrap()])
             .algorithms(&[catalog.algorithm_id(names::DRONET).unwrap()])
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5])))
+        .unwrap();
         assert_eq!(result.points().len(), 2);
         let stock = &result.points()[0];
         let halved = &result.points()[1];
         assert!(stock.setting.is_identity());
         assert_eq!(halved.setting.tdp_scale, 0.5);
-        let manual = engine
-            .evaluate_parts(
-                catalog.airframe(names::DJI_SPARK).unwrap(),
-                catalog.sensor(names::RGB_60).unwrap(),
-                &catalog
-                    .compute(names::AGX)
-                    .unwrap()
-                    .with_tdp_scaled(0.5)
-                    .unwrap(),
-                catalog.throughput(names::AGX, names::DRONET).unwrap(),
-            )
-            .unwrap();
+        let manual = evaluate_parts(
+            catalog.airframe(names::DJI_SPARK).unwrap(),
+            catalog.sensor(names::RGB_60).unwrap(),
+            &catalog
+                .compute(names::AGX)
+                .unwrap()
+                .with_tdp_scaled(0.5)
+                .unwrap(),
+            catalog.throughput(names::AGX, names::DRONET).unwrap(),
+            Grams::ZERO,
+        )
+        .unwrap();
         assert_eq!(halved.outcome, manual);
         assert!(halved.outcome.payload < stock.outcome.payload);
     }
@@ -831,15 +567,12 @@ mod tests {
     #[test]
     fn payload_delta_and_range_sweeps_shift_outcomes() {
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .sweep(KnobSweep::new(Knob::PayloadDelta, vec![0.0, 200.0]))
-            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1.0, 2.0]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1.0, 2.0])))
+        .unwrap();
         // 4 settings per candidate.
         let per_candidate = 4;
         assert_eq!(result.points().len() % per_candidate, 0);
@@ -881,15 +614,12 @@ mod tests {
         // payload objective must be untouched (the *frame* changed, not
         // the carried mass).
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .sweep(KnobSweep::new(Knob::WeightScale, vec![1.0, 0.7]))
-            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.0, 1.3]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.0, 1.3])))
+        .unwrap();
         let base = result
             .points()
             .iter()
@@ -929,12 +659,10 @@ mod tests {
         );
 
         // A heavier frame can tip marginal builds into infeasibility.
-        let heavy = engine
-            .query()
+        let heavy = run(QueryPlan::builder()
             .airframes(&[pelican])
-            .sweep(KnobSweep::new(Knob::WeightScale, vec![3.0]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::WeightScale, vec![3.0])))
+        .unwrap();
         let infeasible_heavy = heavy
             .points()
             .iter()
@@ -953,18 +681,15 @@ mod tests {
         // The variant-table path must equal hand-built airframe variants
         // bit for bit.
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let spark_id = catalog.airframe_id(names::DJI_SPARK).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[spark_id])
             .sensors(&[catalog.sensor_id(names::RGB_60).unwrap()])
             .computes(&[catalog.compute_id(names::NCS).unwrap()])
             .algorithms(&[catalog.algorithm_id(names::DRONET).unwrap()])
             .sweep(KnobSweep::new(Knob::WeightScale, vec![0.8]))
-            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.2]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.2])))
+        .unwrap();
         assert_eq!(result.points().len(), 1);
         let variant = catalog
             .airframe(names::DJI_SPARK)
@@ -973,14 +698,14 @@ mod tests {
             .unwrap()
             .with_rotor_pull_scaled(1.2)
             .unwrap();
-        let manual = engine
-            .evaluate_parts(
-                &variant,
-                catalog.sensor(names::RGB_60).unwrap(),
-                catalog.compute(names::NCS).unwrap(),
-                catalog.throughput(names::NCS, names::DRONET).unwrap(),
-            )
-            .unwrap();
+        let manual = evaluate_parts(
+            &variant,
+            catalog.sensor(names::RGB_60).unwrap(),
+            catalog.compute(names::NCS).unwrap(),
+            catalog.throughput(names::NCS, names::DRONET).unwrap(),
+            Grams::ZERO,
+        )
+        .unwrap();
         assert_eq!(result.points()[0].outcome, manual);
     }
 
@@ -992,41 +717,32 @@ mod tests {
         // credits its full energy would fabricate impossible frontier
         // points).
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
         let battery = catalog.battery_id(names::BATTERY_PELICAN).unwrap();
-        let err = engine
-            .query()
+        let err = run(QueryPlan::builder()
             .airframes(&[pelican])
             .battery(battery)
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![-10.0]))
-            .run()
-            .unwrap_err();
+            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![-10.0])))
+        .unwrap_err();
         assert!(matches!(err, SkylineError::Model(_)));
 
-        // Direct callers of evaluate_parts_loaded get the same floor:
-        // negative extra payload contributes nothing, never less.
+        // Direct callers of evaluate_parts get the same floor: negative
+        // extra payload contributes nothing, never less.
         let spark = catalog.airframe(names::DJI_SPARK).unwrap();
         let sensor = catalog.sensor(names::RGB_60).unwrap();
         let ncs = catalog.compute(names::NCS).unwrap();
         let rate = catalog.throughput(names::NCS, names::DRONET).unwrap();
-        let stock = engine.evaluate_parts(spark, sensor, ncs, rate).unwrap();
-        let shed = engine
-            .evaluate_parts_loaded(spark, sensor, ncs, rate, Grams::new(-10_000.0))
-            .unwrap();
+        let stock = evaluate_parts(spark, sensor, ncs, rate, Grams::ZERO).unwrap();
+        let shed = evaluate_parts(spark, sensor, ncs, rate, Grams::new(-10_000.0)).unwrap();
         assert_eq!(shed.payload, stock.payload);
     }
 
     #[test]
     fn energy_objective_ranks_and_is_finite_for_feasible() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .objectives(&[Objective::MissionEnergyWhPerKm, Objective::SafeVelocity])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         assert!(!result.points().is_empty());
         for i in 0..result.points().len() {
             let energy = result.value(i, 0);
@@ -1042,24 +758,17 @@ mod tests {
     #[test]
     fn endurance_objective_needs_and_uses_a_battery() {
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let err = engine
-            .query()
-            .objective(Objective::HoverEnduranceMin)
-            .run()
-            .unwrap_err();
+        let err = run(QueryPlan::builder().objective(Objective::HoverEnduranceMin)).unwrap_err();
         assert!(matches!(err, SkylineError::IncompleteSystem { .. }));
 
         let battery = catalog.battery_id(names::BATTERY_PELICAN).unwrap();
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .objective(Objective::HoverEnduranceMin)
             .battery(battery)
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         assert!(!result.points().is_empty());
         for i in 0..result.points().len() {
             let endurance = result.value(i, 0);
@@ -1069,12 +778,10 @@ mod tests {
             assert!(endurance < 120.0, "endurance {endurance} min");
         }
         // The battery's mass rides along as payload.
-        let unloaded = engine
-            .query()
+        let unloaded = run(QueryPlan::builder()
             .airframes(&[pelican])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         let battery_mass = catalog.battery_by_id(battery).mass().get();
         let loaded_first = &result.points()[0];
         let unloaded_match = unloaded
@@ -1096,19 +803,14 @@ mod tests {
         // Adding an objective can only grow (or keep) the frontier set:
         // a point undominated on (v, tdp, payload) stays undominated when
         // energy is added.
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let three = engine.query().run().unwrap();
-        let four = engine
-            .query()
-            .objectives(&[
-                Objective::SafeVelocity,
-                Objective::TotalTdp,
-                Objective::PayloadMass,
-                Objective::MissionEnergyWhPerKm,
-            ])
-            .run()
-            .unwrap();
+        let three = run(QueryPlan::builder()).unwrap();
+        let four = run(QueryPlan::builder().objectives(&[
+            Objective::SafeVelocity,
+            Objective::TotalTdp,
+            Objective::PayloadMass,
+            Objective::MissionEnergyWhPerKm,
+        ]))
+        .unwrap();
         assert!(four.frontier().len() >= three.frontier().len());
         for &i in three.frontier() {
             assert!(
@@ -1119,49 +821,40 @@ mod tests {
     }
 
     #[test]
-    fn describe_query_ranks_by_primary_objective() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        // Primary = TDP: every airframe's report must be ascending in
-        // TDP among feasible entries, not descending in velocity.
-        let result = engine
-            .query()
-            .objectives(&[Objective::TotalTdp, Objective::SafeVelocity])
-            .run()
-            .unwrap();
-        let reports = engine.describe_query(&result);
-        assert_eq!(reports.len(), catalog.airframe_count());
-        for report in &reports {
-            let tdps: Vec<f64> = report
-                .ranked
-                .iter()
-                .filter(|o| o.feasible)
-                .map(|o| catalog.compute(&o.compute).unwrap().tdp().get())
-                .collect();
-            for pair in tdps.windows(2) {
-                assert!(pair[0] <= pair[1], "{}: {tdps:?}", report.airframe);
-            }
-            // Feasible entries precede infeasible ones.
-            let first_infeasible = report.ranked.iter().position(|o| !o.feasible);
-            if let Some(pos) = first_infeasible {
-                assert!(report.ranked[pos..].iter().all(|o| !o.feasible));
+    fn ranked_orders_by_primary_objective() {
+        // Primary = TDP: the ranking must be ascending in TDP among
+        // feasible entries, not descending in velocity.
+        let result =
+            run(QueryPlan::builder().objectives(&[Objective::TotalTdp, Objective::SafeVelocity]))
+                .unwrap();
+        let ranked = result.ranked();
+        assert_eq!(ranked.len(), result.len());
+        let feasible = ranked
+            .iter()
+            .take_while(|&&i| result.point(i).outcome.feasible)
+            .count();
+        for pair in ranked[..feasible].windows(2) {
+            let tdp = |i: usize| result.point(i).outcome.total_tdp;
+            assert!(tdp(pair[0]) <= tdp(pair[1]), "{pair:?}");
+            // Ties keep enumeration order.
+            if tdp(pair[0]) == tdp(pair[1]) {
+                assert!(pair[0] < pair[1]);
             }
         }
+        // Feasible entries precede infeasible ones.
+        assert!(ranked[feasible..]
+            .iter()
+            .all(|&i| !result.point(i).outcome.feasible));
     }
 
     #[test]
     fn duplicate_objectives_are_deduplicated() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
-            .objectives(&[
-                Objective::SafeVelocity,
-                Objective::SafeVelocity,
-                Objective::TotalTdp,
-            ])
-            .run()
-            .unwrap();
+        let result = run(QueryPlan::builder().objectives(&[
+            Objective::SafeVelocity,
+            Objective::SafeVelocity,
+            Objective::TotalTdp,
+        ]))
+        .unwrap();
         assert_eq!(
             result.objectives(),
             [Objective::SafeVelocity, Objective::TotalTdp]
@@ -1170,33 +863,22 @@ mod tests {
 
     #[test]
     fn invalid_sweeps_and_profiles_are_rejected() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         for knob in [Knob::TdpScale, Knob::WeightScale, Knob::RotorPull] {
             assert!(
-                engine
-                    .query()
-                    .sweep(KnobSweep::new(knob, vec![0.0]))
-                    .run()
-                    .is_err(),
+                run(QueryPlan::builder().sweep(KnobSweep::new(knob, vec![0.0]))).is_err(),
                 "{knob:?}"
             );
         }
-        assert!(engine
-            .query()
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![]))
-            .run()
-            .is_err());
-        assert!(engine
-            .query()
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![f64::NAN]))
-            .run()
-            .is_err());
+        assert!(run(QueryPlan::builder().sweep(KnobSweep::new(Knob::TdpScale, vec![]))).is_err());
+        assert!(
+            run(QueryPlan::builder().sweep(KnobSweep::new(Knob::PayloadDelta, vec![f64::NAN])))
+                .is_err()
+        );
         let profile = MissionProfile {
             figure_of_merit: 1.5,
             ..MissionProfile::default()
         };
-        assert!(engine.query().mission_profile(profile).run().is_err());
+        assert!(run(QueryPlan::builder().mission_profile(profile)).is_err());
     }
 
     #[test]
@@ -1207,15 +889,11 @@ mod tests {
         // zero, so the Wh/km energy objective overflows to +∞. Those
         // points used to vanish from the frontier with no accounting;
         // they must be counted.
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .objectives(&[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm])
             .constraint(Constraint::FeasibleOnly)
-            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1e-307]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1e-307])))
+        .unwrap();
         assert!(!result.points().is_empty());
         assert!(result.points().iter().all(|p| p.outcome.feasible));
         // Every kept point is feasible with +∞ energy: all counted.
@@ -1225,22 +903,12 @@ mod tests {
         assert!(keys.is_empty() && map.is_empty());
         assert!(result.frontier().is_empty());
         // A finite-valued query counts zero.
-        let finite = engine
-            .query()
+        let finite = run(QueryPlan::builder()
             .objectives(&[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         assert_eq!(finite.nonfinite(), 0);
         assert!(!finite.frontier().is_empty());
-        // The per-airframe reports carry their slice of the count and
-        // sum back to the query-wide total.
-        let reports = engine.describe_query(&result);
-        assert_eq!(
-            reports.iter().map(|r| r.nonfinite).sum::<usize>(),
-            result.nonfinite()
-        );
-        assert!(reports.iter().any(|r| r.nonfinite > 0));
     }
 
     #[test]
@@ -1251,7 +919,6 @@ mod tests {
         // naming the knob — under every keep policy, and even when the
         // subspace holds no characterized pair (nothing to evaluate).
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let table = catalog.throughput_table();
         let uncharacterized = catalog
             .compute_entries()
@@ -1262,7 +929,7 @@ mod tests {
         for keep in [KeepPoints::Auto, KeepPoints::All, KeepPoints::FrontierOnly] {
             for empty in [false, true] {
                 let query = || {
-                    let query = engine.query().keep_points(keep);
+                    let query = QueryPlan::builder().keep_points(keep);
                     if empty {
                         let (c, a) = uncharacterized;
                         query.computes(&[c]).algorithms(&[a])
@@ -1277,10 +944,7 @@ mod tests {
                     (Knob::WeightScale, "Drone Weight"),
                     (Knob::RotorPull, "Rotor Pull"),
                 ] {
-                    let err = query()
-                        .sweep(KnobSweep::new(knob, vec![1e308]))
-                        .run()
-                        .unwrap_err();
+                    let err = run(query().sweep(KnobSweep::new(knob, vec![1e308]))).unwrap_err();
                     match err {
                         SkylineError::KnobVariant { knob, value, .. } => {
                             assert_eq!(knob, expected, "{keep:?}, empty subspace {empty}");
@@ -1294,11 +958,10 @@ mod tests {
                 // Stacked payload deltas compose by addition: two
                 // individually valid values summing to +∞ must fail the
                 // same way, not panic in the units layer.
-                let err = query()
+                let err = run(query()
                     .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-                    .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-                    .run()
-                    .unwrap_err();
+                    .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308])))
+                .unwrap_err();
                 assert!(matches!(
                     err,
                     SkylineError::KnobVariant {
@@ -1349,41 +1012,16 @@ mod tests {
 
     #[test]
     fn queries_are_deterministic() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let build = || {
-            engine
-                .query()
+            run(QueryPlan::builder()
                 .objectives(&[
                     Objective::SafeVelocity,
                     Objective::TotalTdp,
                     Objective::MissionEnergyWhPerKm,
                 ])
-                .sweep(KnobSweep::linear(Knob::TdpScale, 0.5, 1.0, 3))
-                .run()
-                .unwrap()
+                .sweep(KnobSweep::linear(Knob::TdpScale, 0.5, 1.0, 3)))
+            .unwrap()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn query_plan_compiles_the_same_request() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let query = engine
-            .query()
-            .objectives(&[Objective::TotalTdp, Objective::SafeVelocity])
-            .constraint(Constraint::FeasibleOnly)
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]));
-        let plan = query.plan().unwrap();
-        assert_eq!(
-            plan.objectives(),
-            [Objective::TotalTdp, Objective::SafeVelocity]
-        );
-        // The borrowed run and the owned plan through a session agree.
-        let borrowed = query.run().unwrap();
-        let session = crate::session::Session::new(std::sync::Arc::new(Catalog::paper()));
-        let owned = session.run(&plan).unwrap();
-        assert_eq!(*owned, borrowed);
     }
 }

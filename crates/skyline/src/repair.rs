@@ -478,7 +478,7 @@ pub(crate) fn repair_result(
             continue;
         }
         let slab = slab_plan(plan, a, s, c, g)?;
-        let mut results = run_plans(ctx, &[&slab], false)?;
+        let mut results = run_plans(ctx, &[&slab])?;
         slabs.push(results.pop().expect("one slab plan in, one result out"));
     }
 

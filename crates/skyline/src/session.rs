@@ -2,10 +2,10 @@
 //! [`Session`] over a versioned catalog store, and the columnar
 //! [`ResultSet`] it produces.
 //!
-//! A [`Session`] is the serving-side counterpart of
-//! [`Engine`](crate::dse::Engine): it owns its catalog (no lifetimes in
-//! the public API), is `Send + Sync`, and executes owned
-//! [`QueryPlan`]s through the one tier-1 executor, [`crate::shard`]:
+//! A [`Session`] is the one way to run a design-space query: it owns its
+//! catalog (no lifetimes in the public API), is `Send + Sync`, and
+//! executes owned [`QueryPlan`]s through the one tier-1 executor,
+//! [`crate::shard`]:
 //!
 //! * [`Session::run_batch`] runs every group of same-signature plans as
 //!   **one** sharded pass with a lane per plan — candidates are
@@ -48,8 +48,6 @@ use f1_components::{
     AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComputeId, EpochSnapshot,
     SensorId, ThroughputTable,
 };
-use f1_model::heatsink::HeatsinkModel;
-use f1_model::roofline::Saturation;
 
 use crate::plan::QueryPlan;
 use crate::query::{Objective, QueryPoint};
@@ -1135,6 +1133,18 @@ impl EpochState {
         self.snapshot.catalog()
     }
 
+    /// Borrows this state as the tier-1 executor's pass context.
+    fn pass_context(&self) -> PassContext<'_> {
+        PassContext {
+            catalog: self.catalog(),
+            airframes: &self.airframes,
+            sensors: &self.sensors,
+            computes: &self.computes,
+            algorithms: &self.algorithms,
+            table: &self.table,
+        }
+    }
+
     pub(crate) fn epoch(&self) -> CatalogEpoch {
         self.snapshot.epoch()
     }
@@ -1146,11 +1156,11 @@ impl EpochState {
 /// A session binds to a [`CatalogStore`] rather than one catalog: every
 /// published [`CatalogEpoch`] is an immutable `Arc<Catalog>` snapshot,
 /// and the session derives one execution state per epoch it touches
-/// (active id lists in name order, dense throughput table,
-/// paper-calibrated heatsink model) — exactly what
-/// [`Engine::new`](crate::dse::Engine::new) derives for its borrowed
-/// catalog. The session is `Send + Sync` and free of lifetimes: clone
-/// the `Arc`s, move it into a server, share it across threads.
+/// (active id lists in name order, dense throughput table). Every plan
+/// evaluates under the paper-calibrated heatsink model and the default
+/// knee saturation, as [`dse::evaluate_parts`](crate::dse::evaluate_parts)
+/// does. The session is `Send + Sync` and free of lifetimes: clone the
+/// `Arc`s, move it into a server, share it across threads.
 ///
 /// * [`run`](Self::run) executes at the store's **current** epoch;
 ///   [`run_at`](Self::run_at) pins any published epoch.
@@ -1168,8 +1178,6 @@ impl EpochState {
 #[derive(Debug)]
 pub struct Session {
     store: Arc<CatalogStore>,
-    heatsink: HeatsinkModel,
-    saturation: Saturation,
     states: Mutex<HashMap<u64, Arc<EpochState>>>,
     cache: Mutex<MemoCache>,
     hits: AtomicU64,
@@ -1199,8 +1207,6 @@ impl Session {
     pub fn over(store: Arc<CatalogStore>) -> Self {
         Self {
             store,
-            heatsink: HeatsinkModel::paper_calibrated(),
-            saturation: Saturation::DEFAULT,
             states: Mutex::new(HashMap::new()),
             cache: Mutex::new(MemoCache::default()),
             hits: AtomicU64::new(0),
@@ -1300,19 +1306,6 @@ impl Session {
                 requested: epoch.get(),
                 latest: self.store.current_epoch().get(),
             }),
-        }
-    }
-
-    fn pass_context<'a>(&'a self, state: &'a EpochState) -> PassContext<'a> {
-        PassContext {
-            catalog: state.catalog(),
-            airframes: &state.airframes,
-            sensors: &state.sensors,
-            computes: &state.computes,
-            algorithms: &state.algorithms,
-            table: &state.table,
-            heatsink: &self.heatsink,
-            saturation: self.saturation,
         }
     }
 
@@ -1422,7 +1415,7 @@ impl Session {
             return Ok(hit);
         }
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut results = run_plans(&self.pass_context(state), &[plan], true)?;
+        let mut results = run_plans(&state.pass_context(), &[plan])?;
         // analyze::allow(panic, reason = "run_plans returns exactly one result per input plan")
         let result = results.pop().expect("one plan in, one result out");
         let result = Arc::new(self.attach_tier2(plan, state, result, None)?);
@@ -1469,7 +1462,7 @@ impl Session {
                 match crate::repair::repair_result(
                     &old_state,
                     &state,
-                    &self.pass_context(&state),
+                    &state.pass_context(),
                     plan,
                     &cached,
                 )? {
@@ -1671,7 +1664,7 @@ impl Session {
             self.misses
                 .fetch_add(pending.len() as u64, AtomicOrdering::Relaxed);
             let refs: Vec<&QueryPlan> = pending.iter().map(|&i| &plans[i]).collect();
-            let results = run_plans(&self.pass_context(state), &refs, true)?;
+            let results = run_plans(&state.pass_context(), &refs)?;
             for (&i, result) in pending.iter().zip(results) {
                 let result = Arc::new(self.attach_tier2(&plans[i], state, result, None)?);
                 self.insert(plans[i].key(), epoch, Arc::clone(&result));
@@ -1754,17 +1747,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<Session>();
         assert_send_sync::<ResultSet>();
-    }
-
-    #[test]
-    fn session_matches_engine_query() {
-        let catalog = Catalog::paper();
-        let engine = crate::dse::Engine::new(&catalog);
-        let borrowed = engine.query().run().unwrap();
-        let owned = session()
-            .run(&QueryPlan::builder().build().unwrap())
-            .unwrap();
-        assert_eq!(*owned, borrowed);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The tier-1 executor: every plan a [`Session`](crate::Session) or an
-//! [`Engine`](crate::dse::Engine) query runs is evaluated here.
+//! The tier-1 executor: every plan a [`Session`](crate::Session) runs is
+//! evaluated here.
 //!
 //! `run_plans` groups a batch by evaluation signature (subspace, knob
 //! settings, battery) and runs each group, in chunks of at most 64
@@ -70,7 +70,6 @@ use f1_components::{
 };
 use f1_model::heatsink::HeatsinkModel;
 use f1_model::mission::{hover_endurance, PowerModel};
-use f1_model::roofline::Saturation;
 use f1_units::{Grams, Hertz, Meters};
 
 use crate::dse::{algo_stage, pair_stage, Candidate, Outcome, PairStage};
@@ -113,11 +112,9 @@ pub const STREAM_AUTO_THRESHOLD: usize = 2_000_000;
 /// a `u64` row mask.
 const MAX_LANES: usize = 64;
 
-/// Everything a pass needs, borrowed: both [`Engine`](crate::dse::Engine)
-/// (catalog by reference) and [`Session`](crate::Session) (catalog
-/// behind `Arc`) project themselves into one of these, so the borrowed
-/// compatibility query and the owned serving path execute the **same**
-/// code.
+/// Everything a pass needs from one catalog epoch, borrowed from the
+/// [`Session`](crate::Session)'s per-epoch state: the catalog, its
+/// active ids in name order and its dense throughput table.
 pub(crate) struct PassContext<'a> {
     pub catalog: &'a Catalog,
     pub airframes: &'a [AirframeId],
@@ -125,8 +122,6 @@ pub(crate) struct PassContext<'a> {
     pub computes: &'a [ComputeId],
     pub algorithms: &'a [AlgorithmId],
     pub table: &'a ThroughputTable,
-    pub heatsink: &'a HeatsinkModel,
-    pub saturation: Saturation,
 }
 
 /// Pre-built component variants for one knob setting, indexed by
@@ -304,7 +299,6 @@ fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
 pub(crate) fn run_plans(
     ctx: &PassContext<'_>,
     plans: &[&QueryPlan],
-    with_frontier: bool,
 ) -> Result<Vec<ResultSet>, SkylineError> {
     for plan in plans {
         validate_plan_ids(ctx, plan)?;
@@ -325,7 +319,7 @@ pub(crate) fn run_plans(
     for members in groups {
         for chunk in members.chunks(MAX_LANES) {
             let lanes: Vec<&QueryPlan> = chunk.iter().map(|&i| plans[i]).collect();
-            let results = Pass::new(ctx, &lanes, with_frontier)?.run()?;
+            let results = Pass::new(ctx, &lanes)?.run()?;
             for (&slot, result) in chunk.iter().zip(results) {
                 out[slot] = Some(result);
             }
@@ -517,7 +511,7 @@ struct Lane<'p> {
     /// Frontier-only collector; otherwise the lane keeps every row.
     stream: bool,
     /// The share set whose skyline this lane intersects.
-    share: Option<usize>,
+    share: usize,
 }
 
 /// The lanes that intersect one shard-local skyline: all lanes of one
@@ -681,6 +675,8 @@ pub(crate) fn rank_cmp(maximize: bool, a: (bool, f64, usize), b: (bool, f64, usi
 /// One sharded pass over a group of same-signature plans.
 struct Pass<'a> {
     ctx: &'a PassContext<'a>,
+    /// The paper-calibrated heatsink model, built once per pass.
+    heatsink: HeatsinkModel,
     space: Space<'a>,
     settings: &'a [KnobSetting],
     variants: Vec<VariantParts>,
@@ -705,11 +701,7 @@ impl<'a> Pass<'a> {
     /// policy reports the same errors), and lays out lanes and slab
     /// columns.
     // analyze::allow(indexing, scope = "fn", reason = "run_plans passes 1..=64 plans; slots index the profiles list they were pushed to; lane and share positions come from enumerate()/push")
-    fn new(
-        ctx: &'a PassContext<'a>,
-        plans: &[&'a QueryPlan],
-        with_frontier: bool,
-    ) -> Result<Self, SkylineError> {
+    fn new(ctx: &'a PassContext<'a>, plans: &[&'a QueryPlan]) -> Result<Self, SkylineError> {
         let rep = plans[0];
         let catalog = ctx.catalog;
         let space = resolve_space(ctx, rep);
@@ -743,6 +735,7 @@ impl<'a> Pass<'a> {
         let mut col_of = vec![[usize::MAX; MAX_OBJECTIVES]; profiles.len()];
         let mut stride = 0usize;
         let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(plans.len());
+        let mut shares: Vec<Share> = Vec::new();
         for (&plan, &slot) in plans.iter().zip(&slots) {
             let mut keys = Vec::with_capacity(plan.objectives().len());
             let mut needs: Vec<(usize, u8)> = Vec::with_capacity(2);
@@ -765,37 +758,31 @@ impl<'a> Pass<'a> {
                 KeepPoints::FrontierOnly => true,
                 KeepPoints::Auto => job_count > STREAM_AUTO_THRESHOLD,
             };
-            lanes.push(Lane {
-                plan,
-                keys,
-                needs,
-                stream,
-                share: None,
-            });
-        }
-
-        // Skylines: one per objective set for the reducible lanes that
-        // read the shared profile's columns, one per other lane.
-        let mut shares: Vec<Share> = Vec::new();
-        for (i, lane) in lanes.iter_mut().enumerate().filter(|_| with_frontier) {
-            let set = match lane.needs[..] {
-                [(0, set)] if frontier_reducible(lane.plan) => Some(set),
+            // Skylines: one per objective set for the reducible lanes
+            // that read the shared profile's columns, one per other lane.
+            let set = match needs[..] {
+                [(0, set)] if frontier_reducible(plan) => Some(set),
                 _ => None,
             };
-            let pos = match shares.iter().position(|s| set.is_some() && s.set == set) {
+            let share = match shares.iter().position(|s| set.is_some() && s.set == set) {
                 Some(pos) => pos,
                 None => {
-                    let keys = lane.keys.clone();
                     shares.push(Share {
                         set,
-                        keys,
+                        keys: keys.clone(),
                         members: 0,
                     });
                     shares.len() - 1
                 }
             };
-            shares[pos].members |= 1 << i;
-            lane.share = Some(pos);
+            shares[share].members |= 1 << lanes.len();
+            lanes.push(Lane {
+                plan,
+                keys,
+                needs,
+                stream,
+                share,
+            });
         }
         let all_mask = lanes
             .iter()
@@ -805,6 +792,7 @@ impl<'a> Pass<'a> {
 
         Ok(Self {
             ctx,
+            heatsink: HeatsinkModel::paper_calibrated(),
             space,
             settings,
             variants,
@@ -909,8 +897,7 @@ impl<'a> Pass<'a> {
         let entry = &self.space.pairs[c % self.space.pairs.len()];
         let sensor = &parts.sensors[sensor_pos];
         let stage = pair_stage(
-            self.ctx.heatsink,
-            self.ctx.saturation,
+            &self.heatsink,
             airframe,
             sensor,
             &parts.computes[entry.compute_pos as usize],
@@ -1038,8 +1025,7 @@ impl<'a> Pass<'a> {
                 if cur_pair != (sensor_pos, entry.compute_pos) {
                     cur_pair = (sensor_pos, entry.compute_pos);
                     stage = Some(pair_stage(
-                        self.ctx.heatsink,
-                        self.ctx.saturation,
+                        &self.heatsink,
                         airframe,
                         sensor,
                         &parts.computes[entry.compute_pos as usize],
@@ -1180,7 +1166,7 @@ impl<'a> Pass<'a> {
                 (slab.feasible[r], primary[r], rank as usize)
             };
             let cmp = |a: &(u32, u32), b: &(u32, u32)| rank_cmp(maximize, key(a), key(b));
-            let skyline: &[u32] = lane.share.map_or(&[], |s| &skylines[s]);
+            let skyline: &[u32] = &skylines[lane.share];
             let mut on_skyline = skyline.iter().peekable();
             let mut out = LaneOut::default();
             if !lane.stream {
@@ -1287,7 +1273,7 @@ impl<'a> Pass<'a> {
         // downward-closed lane, and a lane of its own is its whole share.
         // Survivors come in shard (= enumeration) order, so the global
         // indices come out ascending.
-        let bit = lane.share.map_or(0, |s| 1u64 << s);
+        let bit = 1u64 << lane.share;
         let frontier: Vec<(usize, usize, usize)> = survivors(|l| &l.frontier)
             .filter(|&(_, shard, r)| outs[shard].on_skyline[r] & bit != 0)
             .collect();

@@ -1,4 +1,4 @@
-//! Acceptance tests for the composable query API at scale: the
+//! Acceptance tests for query plans on a session at scale: the
 //! four-objective query over a synthesized 10⁵-candidate catalog, exact
 //! frontier agreement with the naive Pareto on the paper catalog, and
 //! the shared-pass acceptance — a batch of 8 distinct 4-objective plans
@@ -14,11 +14,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use f1_components::{Catalog, ComputeId};
-use f1_skyline::dse::Engine;
 use f1_skyline::frontier;
-use f1_skyline::plan::QueryPlan;
+use f1_skyline::plan::{PlanBuilder, QueryPlan};
 use f1_skyline::query::{Constraint, Objective};
-use f1_skyline::session::Session;
+use f1_skyline::session::{ResultSet, Session};
 use f1_units::Watts;
 
 const FOUR_OBJECTIVES: [Objective; 4] = [
@@ -28,6 +27,13 @@ const FOUR_OBJECTIVES: [Objective; 4] = [
     Objective::MissionEnergyWhPerKm,
 ];
 
+/// Builds a plan and runs it cold on a fresh session over `catalog`.
+fn run(catalog: &Arc<Catalog>, builder: PlanBuilder) -> Arc<ResultSet> {
+    Session::new(Arc::clone(catalog))
+        .run(&builder.build().expect("valid plan"))
+        .expect("plan evaluates")
+}
+
 /// The headline acceptance: a 4-objective query (velocity, TDP, payload,
 /// mission energy) over a synthesized 10⁵-candidate catalog completes
 /// with the O(n log n) frontier.
@@ -35,19 +41,18 @@ const FOUR_OBJECTIVES: [Objective; 4] = [
 fn four_objective_query_over_1e5_candidate_catalog() {
     // 47 parts per family ⇒ 47³ = 103 823 characterized candidates on
     // one airframe.
-    let catalog = Catalog::synthesize(42, 47);
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::synthesize(42, 47));
     let airframe = catalog
         .airframe_entries()
         .next()
         .map(|(id, _)| id)
         .expect("synthesized catalog has airframes");
-    let result = engine
-        .query()
-        .airframes(&[airframe])
-        .objectives(&FOUR_OBJECTIVES)
-        .run()
-        .expect("query over the synthetic catalog evaluates");
+    let result = run(
+        &catalog,
+        QueryPlan::builder()
+            .airframes(&[airframe])
+            .objectives(&FOUR_OBJECTIVES),
+    );
     assert_eq!(result.points().len(), 47 * 47 * 47);
     assert!(!result.frontier().is_empty());
 
@@ -112,8 +117,7 @@ fn four_objective_query_over_1e5_candidate_catalog() {
 /// 3-objective query and the 4-objective energy query alike.
 #[test]
 fn sweep_frontier_matches_naive_exactly_on_paper_catalog() {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::paper());
     for objectives in [
         &[
             Objective::SafeVelocity,
@@ -122,7 +126,7 @@ fn sweep_frontier_matches_naive_exactly_on_paper_catalog() {
         ][..],
         &FOUR_OBJECTIVES[..],
     ] {
-        let result = engine.query().objectives(objectives).run().unwrap();
+        let result = run(&catalog, QueryPlan::builder().objectives(objectives));
         let (keys, map) = result.minimized_keys();
         let naive: Vec<usize> = frontier::naive_pareto_min(objectives.len(), &keys)
             .into_iter()
@@ -137,14 +141,12 @@ fn sweep_frontier_matches_naive_exactly_on_paper_catalog() {
 /// near-ties are common because parts repeat across candidates.
 #[test]
 fn sweep_frontier_matches_naive_exactly_on_small_synth_catalog() {
-    let catalog = Catalog::synthesize(7, 8);
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::synthesize(7, 8));
     for k in [2, 3, 4] {
-        let result = engine
-            .query()
-            .objectives(&FOUR_OBJECTIVES[..k])
-            .run()
-            .unwrap();
+        let result = run(
+            &catalog,
+            QueryPlan::builder().objectives(&FOUR_OBJECTIVES[..k]),
+        );
         let (keys, map) = result.minimized_keys();
         let naive: Vec<usize> = frontier::naive_pareto_min(k, &keys)
             .into_iter()
@@ -269,16 +271,15 @@ fn batch_of_eight_plans_shares_the_evaluation_pass_at_scale() {
 /// without touching the surviving outcomes.
 #[test]
 fn constrained_query_on_synth_catalog_prunes_consistently() {
-    let catalog = Catalog::synthesize(42, 12);
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::synthesize(42, 12));
     let airframe = catalog.airframe_entries().next().map(|(id, _)| id).unwrap();
-    let open = engine.query().airframes(&[airframe]).run().unwrap();
-    let capped = engine
-        .query()
-        .airframes(&[airframe])
-        .constraint(Constraint::MaxTotalTdp(f1_units::Watts::new(10.0)))
-        .run()
-        .unwrap();
+    let open = run(&catalog, QueryPlan::builder().airframes(&[airframe]));
+    let capped = run(
+        &catalog,
+        QueryPlan::builder()
+            .airframes(&[airframe])
+            .constraint(Constraint::MaxTotalTdp(Watts::new(10.0))),
+    );
     assert_eq!(
         capped.points().len() + capped.dropped(),
         open.points().len()

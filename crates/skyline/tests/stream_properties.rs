@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
 use f1_model::mission::hover_endurance;
-use f1_skyline::dse::{Candidate, Engine};
+use f1_skyline::dse::{evaluate_parts, Candidate};
 use f1_skyline::frontier::{naive_pareto_min, pareto_min};
 use f1_skyline::mission::power_model_for_parts;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
@@ -156,7 +156,6 @@ struct Oracle {
 
 fn oracle(catalog: &Catalog, plan: &QueryPlan) -> Oracle {
     assert!(plan.sweeps().is_empty(), "the oracle evaluates stock parts");
-    let engine = Engine::new(catalog);
     let table = catalog.throughput_table();
     let airframes = plan.airframes().map_or_else(
         || catalog.airframe_entries().map(|(id, _)| id).collect(),
@@ -203,15 +202,14 @@ fn oracle(catalog: &Catalog, plan: &QueryPlan) -> Oracle {
     for &airframe in &airframes {
         let frame = catalog.airframe_by_id(airframe);
         for &candidate in &candidates {
-            let outcome = engine
-                .evaluate_parts_loaded(
-                    frame,
-                    catalog.sensor_by_id(candidate.sensor),
-                    catalog.compute_by_id(candidate.compute),
-                    candidate.throughput,
-                    extra,
-                )
-                .unwrap();
+            let outcome = evaluate_parts(
+                frame,
+                catalog.sensor_by_id(candidate.sensor),
+                catalog.compute_by_id(candidate.compute),
+                candidate.throughput,
+                extra,
+            )
+            .unwrap();
             if !plan.constraints().iter().all(|c| c.admits(&outcome)) {
                 out.dropped += 1;
                 continue;

@@ -2,7 +2,7 @@
 //!
 //! The paper's intro motivates package delivery as a target workload and
 //! its conclusion proposes using F-1 for automated DSE. This example
-//! runs a composable DSE **query** for an AscTec Pelican delivery
+//! runs a DSE **query plan** on a session for an AscTec Pelican delivery
 //! platform: maximize safe velocity and minimize mission energy under a
 //! TDP budget, with the battery mounted so hover endurance is scored
 //! too, then reports the ranking and the Pareto frontier.
@@ -11,16 +11,16 @@
 //! cargo run --example delivery_drone_design
 //! ```
 
+use std::sync::Arc;
+
 use f1_uav::components::{names, Catalog};
-use f1_uav::skyline::dse::Engine;
 use f1_uav::skyline::query::{Constraint, Objective};
+use f1_uav::skyline::{QueryPlan, Session};
 use f1_uav::units::Watts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let result = engine
-        .query()
+    let catalog = Arc::new(Catalog::paper());
+    let plan = QueryPlan::builder()
         .airframes(&[catalog.airframe_id(names::ASCTEC_PELICAN)?])
         .battery(catalog.battery_id(names::BATTERY_PELICAN)?)
         .objectives(&[
@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
         .constraint(Constraint::MaxTotalTdp(Watts::new(20.0)))
         .constraint(Constraint::FeasibleOnly)
-        .run()?;
+        .build()?;
+    let result = Session::new(Arc::clone(&catalog)).run(&plan)?;
 
     println!(
         "Explored {} delivery builds under a 20 W TDP budget ({} filtered out, \

@@ -2,6 +2,8 @@
 //! simulators, checking that the analytic model and both simulators agree
 //! where they must.
 
+use std::sync::Arc;
+
 use f1_uav::components::{names, Catalog};
 use f1_uav::flightsim::{
     find_safe_velocity, DisturbanceModel, SearchConfig, StopScenario, VehicleDynamics,
@@ -9,6 +11,7 @@ use f1_uav::flightsim::{
 use f1_uav::model::physics::DragModel;
 use f1_uav::pipeline::{ExecutionMode, PipelineSim, StageConfig};
 use f1_uav::prelude::*;
+use f1_uav::skyline::{QueryPlan, Session};
 
 /// The discrete-event pipeline simulator's measured throughput matches the
 /// Eq. 3 rate computed from the same catalog components.
@@ -133,11 +136,11 @@ fn payload_accounting_cross_check() {
 /// assembled §VI configuration.
 #[test]
 fn dse_winner_dominates_case_study_builds() {
-    let catalog = Catalog::paper();
-    let engine = f1_uav::skyline::dse::Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::paper());
     let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-    let dse = engine.describe(&engine.explore_airframe(pelican).unwrap());
-    let best = dse.best().unwrap().velocity.get();
+    let plan = QueryPlan::builder().airframes(&[pelican]).build().unwrap();
+    let dse = Session::new(Arc::clone(&catalog)).run(&plan).unwrap();
+    let best = dse.best().unwrap().outcome.velocity.get();
     for (platform, algorithm) in [
         (names::TX2, names::DRONET),
         (names::TX2, names::TRAILNET),
