@@ -20,12 +20,15 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use f1_components::{catalog_digest, AirframeId, BatteryId, Catalog, CatalogDelta, CatalogStore};
+use f1_components::{
+    catalog_digest, AirframeId, BatteryId, Catalog, CatalogDelta, CatalogStore, EpochSnapshot,
+};
 use f1_serve::protocol;
 use f1_serve::{DurabilityStats, ErrorKind, SchedulerStats};
 use f1_skyline::plan::{KeepPoints, QueryPlan, SimObjective};
 use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
 use f1_skyline::session::{CacheStats, Session};
+use f1_skyline::shard::STREAM_TOP_K;
 use f1_skyline::tier2::SimStats;
 use f1_units::{MetersPerSecond, Watts};
 
@@ -143,11 +146,62 @@ pub fn corpus() -> Result<Vec<(&'static str, String)>, String> {
         Some(&durability),
     ));
     out.push(("protocol_bodies.txt", bodies));
+    let (streamed_json, sweep_json, top_bodies) = render_branches(&session, &snapshot)?;
+    out.push(("result_set_streamed.json", streamed_json));
+    out.push(("result_set_sweep.json", sweep_json));
+    out.push(("protocol_top_bodies.txt", top_bodies));
     out.push(("catalog_delta.txt", delta_transcript(&store)?));
     let (log_record, store_snapshot) = store_framing()?;
     out.push(("store_log_record.txt", log_record));
     out.push(("store_snapshot.txt", store_snapshot));
     Ok(out)
+}
+
+/// The renderer branches the base corpus plan never reaches: a streamed
+/// (frontier-only) result, whose `to_json` carries a `"stored"` array
+/// and whose `top` body is asked for more rows than its stored top-k;
+/// and a keep-all knob sweep with an energy objective, whose builds
+/// carry `"setting"` blocks and whose zero-velocity rows render their
+/// infinite energy as `null` in both `to_json` and `top`.
+fn render_branches(
+    session: &Session,
+    snapshot: &EpochSnapshot,
+) -> Result<(String, String, String), String> {
+    let two_airframes = [AirframeId::from_index(0), AirframeId::from_index(1)];
+    let streamed_plan = QueryPlan::builder()
+        .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
+        .airframes(&two_airframes)
+        .keep_points(KeepPoints::FrontierOnly)
+        .build()
+        .map_err(|e| format!("streamed corpus plan: {e}"))?;
+    let streamed = session
+        .run(&streamed_plan)
+        .map_err(|e| format!("streamed corpus query: {e}"))?;
+    if streamed.stored_indices().map_or(0, <[usize]>::len) >= streamed.len() {
+        return Err("streamed corpus result stores every point; widen its subspace".to_owned());
+    }
+    let sweep_plan = QueryPlan::builder()
+        .objectives(&[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm])
+        .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
+        .airframes(&[AirframeId::from_index(0)])
+        .build()
+        .map_err(|e| format!("sweep corpus plan: {e}"))?;
+    let sweep = session
+        .run(&sweep_plan)
+        .map_err(|e| format!("sweep corpus query: {e}"))?;
+    let catalog = snapshot.catalog();
+    let mut top_bodies = protocol::top_body(STREAM_TOP_K + 36, &streamed, snapshot, true);
+    top_bodies.push_str(&protocol::top_body(
+        protocol::MAX_TOP_K,
+        &sweep,
+        snapshot,
+        false,
+    ));
+    Ok((
+        streamed.to_json(catalog),
+        sweep.to_json(catalog),
+        top_bodies,
+    ))
 }
 
 /// The durability formats: a framed epoch-log record and a framed
@@ -383,6 +437,9 @@ mod tests {
                 "result_set.json",
                 "result_set_tier2.json",
                 "protocol_bodies.txt",
+                "result_set_streamed.json",
+                "result_set_sweep.json",
+                "protocol_top_bodies.txt",
                 "catalog_delta.txt",
                 "store_log_record.txt",
                 "store_snapshot.txt"
@@ -414,7 +471,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Missing goldens: every entry is a finding.
         let missing = check(&dir, false);
-        assert_eq!(missing.len(), 7, "{missing:?}");
+        assert_eq!(missing.len(), 10, "{missing:?}");
         // Bless, then verify clean.
         assert!(check(&dir, true).is_empty());
         assert!(check(&dir, false).is_empty());

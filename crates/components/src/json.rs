@@ -9,6 +9,8 @@
 //! document that parses here round-trips byte-for-byte through
 //! [`quote`]/[`fmt_number`].
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 pub enum Value {
     /// `null`.
@@ -92,33 +94,66 @@ impl Value {
 /// emits are exactly the ones [`parse`] resolves, so
 /// `parse(quote(s)) == s` for every `s` — the property the durable
 /// store leans on to embed whole JSON documents as string payloads
-/// without byte drift.
+/// without byte drift. A thin wrapper over [`quote_into`].
 #[must_use]
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    quote_into(&mut out, s);
     out
+}
+
+/// [`quote`] appending into `out` — the allocation-free form the wire
+/// renderers use. Unescaped runs are copied whole; every byte that
+/// needs an escape is ASCII, so the runs split on char boundaries.
+pub fn quote_into(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut rest = s;
+    while let Some((at, byte)) = rest
+        .bytes()
+        .enumerate()
+        .find(|&(_, b)| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        let (plain, tail) = rest.split_at(at);
+        out.push_str(plain);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
+        rest = tail.split_at(1).1;
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// Formats a finite float in its shortest round-trip form (the `{v:?}`
 /// canonical spelling every wire format in the workspace uses), or
 /// `None` for non-finite values (which JSON cannot represent and the
-/// strict reader rejects).
+/// strict reader rejects). A thin wrapper over [`number_into`].
 #[must_use]
 pub fn fmt_number(v: f64) -> Option<String> {
-    v.is_finite().then(|| format!("{v:?}"))
+    v.is_finite().then(|| {
+        let mut out = String::new();
+        number_into(&mut out, v);
+        out
+    })
+}
+
+/// Appends `v` to `out` in the [`fmt_number`] spelling, or `null` for
+/// a non-finite value — how result and protocol bodies render a value
+/// JSON cannot represent. Allocation-free.
+pub fn number_into(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Parses one JSON document. Strict: rejects duplicate object keys,
@@ -346,6 +381,26 @@ mod tests {
         }
         assert!(fmt_number(f64::NAN).is_none());
         assert!(fmt_number(f64::INFINITY).is_none());
+    }
+
+    #[test]
+    fn appenders_match_the_allocating_forms() {
+        let mut out = String::from("[");
+        for s in ["", "plain", "q\"b\\s\n\t\r\u{1}\u{1f}", "ünïcødé ✓ \"end\""] {
+            quote_into(&mut out, s);
+            assert!(out.ends_with(&quote(s)), "{s:?}");
+        }
+        for v in [0.0, -2.5, 1e-307, 0.1 + 0.2] {
+            let before = out.len();
+            number_into(&mut out, v);
+            assert_eq!(out[before..], fmt_number(v).unwrap());
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let before = out.len();
+            number_into(&mut out, v);
+            assert_eq!(&out[before..], "null");
+        }
+        assert!(out.starts_with('['));
     }
 
     #[test]

@@ -25,14 +25,24 @@
 //! ...}}` — so a bad plan key, an out-of-catalog id or an overloaded
 //! queue come back as parseable errors on a live connection, never as a
 //! dropped socket.
+//!
+//! # Rendering
+//!
+//! The hot bodies have appending forms, [`write_top_body`] and
+//! [`write_query_body`], that render into a caller's buffer through the
+//! allocation-free JSON writers ([`quote_into`], [`number_into`],
+//! [`ResultSet::write_json`]); [`top_body`]/[`query_body`] are thin
+//! `String`-returning wrappers over them. [`write_response`] sends a
+//! frame's header and body in one vectored write.
 
-use std::io::{self, BufRead, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use f1_components::json::{fmt_number, quote};
+use f1_components::json::{number_into, quote_into};
 use f1_components::EpochSnapshot;
-use f1_skyline::session::{CacheStats, ResultSet};
+use f1_skyline::session::{write_point_identity, CacheStats, ResultSet};
 use f1_skyline::tier2::SimStats;
 use f1_skyline::SkylineError;
 
@@ -178,36 +188,64 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Builds a structured error body.
 #[must_use]
 pub fn error_body(kind: ErrorKind, message: &str) -> String {
-    format!(
-        "{{\"error\": {{\"kind\": {}, \"message\": {}}}}}\n",
-        quote(kind.as_str()),
-        quote(message)
-    )
+    let mut out = String::with_capacity(48 + message.len());
+    out.push_str("{\"error\": {\"kind\": ");
+    quote_into(&mut out, kind.as_str());
+    out.push_str(", \"message\": ");
+    quote_into(&mut out, message);
+    out.push_str("}}\n");
+    out
+}
+
+/// Appends the identity every epoch-stamped body opens with:
+/// `{"epoch": E, "digest": D` (the object is left open).
+fn epoch_head(out: &mut String, snapshot: &EpochSnapshot) {
+    let _ = write!(
+        out,
+        "{{\"epoch\": {}, \"digest\": {}",
+        snapshot.epoch().get(),
+        snapshot.digest()
+    );
 }
 
 /// The common response prologue: which epoch answered, its catalog
 /// digest, and whether the memo cache answered without a pass.
-fn envelope_head(snapshot: &EpochSnapshot, cached: bool) -> String {
-    format!(
-        "{{\"epoch\": {}, \"digest\": {}, \"cached\": {},\n",
-        snapshot.epoch().get(),
-        snapshot.digest(),
-        cached
-    )
+fn envelope_head(out: &mut String, snapshot: &EpochSnapshot, cached: bool) {
+    epoch_head(out, snapshot);
+    out.push_str(if cached {
+        ", \"cached\": true,\n"
+    } else {
+        ", \"cached\": false,\n"
+    });
 }
 
 /// Builds the `query` response body: the envelope plus the full
-/// [`ResultSet::to_json`] document. The snapshot must be the epoch the
-/// plan executed at — names and digest are resolved against *that*
-/// catalog, so an old-epoch answer stays bit-identical after later
-/// deltas.
+/// [`ResultSet::to_json`] document. A thin wrapper over
+/// [`write_query_body`].
 #[must_use]
 pub fn query_body(result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) -> String {
-    let mut out = envelope_head(snapshot, cached);
-    out.push_str("\"result\": ");
-    out.push_str(result.to_json(snapshot.catalog()).trim_end());
-    out.push_str("}\n");
+    let mut out = String::new();
+    write_query_body(&mut out, result, snapshot, cached);
     out
+}
+
+/// [`query_body`] appending into `out`: the result document is
+/// rendered straight into the caller's buffer, not copied from a
+/// separate [`ResultSet::to_json`] string. The snapshot must be the
+/// epoch the plan executed at — names and digest are resolved against
+/// *that* catalog, so an old-epoch answer stays bit-identical after
+/// later deltas.
+pub fn write_query_body(
+    out: &mut String,
+    result: &ResultSet,
+    snapshot: &EpochSnapshot,
+    cached: bool,
+) {
+    envelope_head(out, snapshot, cached);
+    out.push_str("\"result\": ");
+    result.write_json(out, snapshot.catalog());
+    out.truncate(out.trim_end().len());
+    out.push_str("}\n");
 }
 
 /// [`query_body`] for a result that exists only as its spilled JSON —
@@ -217,7 +255,8 @@ pub fn query_body(result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) ->
 /// would produce from the live result, without re-running any physics.
 #[must_use]
 pub fn warm_query_body(result_json: &str, snapshot: &EpochSnapshot, cached: bool) -> String {
-    let mut out = envelope_head(snapshot, cached);
+    let mut out = String::with_capacity(96 + result_json.len());
+    envelope_head(&mut out, snapshot, cached);
     out.push_str("\"result\": ");
     out.push_str(result_json.trim_end());
     out.push_str("}\n");
@@ -226,25 +265,46 @@ pub fn warm_query_body(result_json: &str, snapshot: &EpochSnapshot, cached: bool
 
 /// Builds the `top` response body: the envelope plus the best `k`
 /// ranked builds with their objective rows — the compact shape a
-/// serving client polls at high rate. Point access goes through the
-/// non-panicking [`ResultSet::try_point`]/[`ResultSet::try_row`], so a
-/// streamed result with fewer stored rows than `k` degrades to what it
-/// kept instead of killing the worker.
+/// serving client polls at high rate. A thin wrapper over
+/// [`write_top_body`].
 #[must_use]
 pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) -> String {
+    let mut out = String::new();
+    write_top_body(&mut out, k, result, snapshot, cached);
+    out
+}
+
+/// [`top_body`] appending into `out`, with no heap allocation per
+/// value. Point access goes through the non-panicking
+/// [`ResultSet::try_point`]/[`ResultSet::try_row`], so a streamed
+/// result with fewer stored rows than `k` degrades to what it kept
+/// instead of killing the worker.
+pub fn write_top_body(
+    out: &mut String,
+    k: usize,
+    result: &ResultSet,
+    snapshot: &EpochSnapshot,
+    cached: bool,
+) {
     let catalog = snapshot.catalog();
-    let mut out = envelope_head(snapshot, cached);
-    out.push_str(&format!(
+    // One allocation for a fresh buffer: a row is its four names,
+    // about 150 bytes of keys and punctuation, and one number per
+    // objective.
+    let rows = k.min(result.len());
+    out.reserve(256 + rows * (192 + 24 * result.objectives().len()));
+    envelope_head(out, snapshot, cached);
+    let _ = write!(
+        out,
         "\"count\": {}, \"dropped\": {}, \"frontier_size\": {}, \"objectives\": [",
         result.len(),
         result.dropped(),
         result.frontier().len()
-    ));
+    );
     for (i, o) in result.objectives().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&quote(o.label()));
+        quote_into(out, o.label());
     }
     out.push_str("], \"top\": [");
     let mut emitted = 0usize;
@@ -258,42 +318,27 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
             out.push(',');
         }
         emitted += 1;
-        out.push_str("\n  {\"index\": ");
-        out.push_str(&index.to_string());
-        out.push_str(", \"airframe\": ");
-        out.push_str(&quote(catalog.airframe_by_id(point.airframe).name()));
-        out.push_str(", \"sensor\": ");
-        out.push_str(&quote(catalog.sensor_by_id(point.candidate.sensor).name()));
-        out.push_str(", \"compute\": ");
-        out.push_str(&quote(
-            catalog.compute_by_id(point.candidate.compute).name(),
-        ));
-        out.push_str(", \"algorithm\": ");
-        out.push_str(&quote(
-            catalog.algorithm_by_id(point.candidate.algorithm).name(),
-        ));
-        out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
+        let _ = write!(out, "\n  {{\"index\": {index}, ");
+        write_point_identity(out, catalog, point);
         out.push_str(", \"values\": [");
-        for (i, v) in row.iter().enumerate() {
+        for (i, v) in row.enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&fmt_number(*v).unwrap_or_else(|| "null".to_owned()));
+            number_into(out, v);
         }
         out.push_str("]}");
     }
     out.push_str("\n]}\n");
-    out
 }
 
 /// Builds the `delta` response body: the newly published epoch.
 #[must_use]
 pub fn delta_body(snapshot: &EpochSnapshot, ops: usize) -> String {
-    format!(
-        "{{\"epoch\": {}, \"digest\": {}, \"ops\": {ops}}}\n",
-        snapshot.epoch().get(),
-        snapshot.digest()
-    )
+    let mut out = String::with_capacity(64);
+    epoch_head(&mut out, snapshot);
+    let _ = writeln!(out, ", \"ops\": {ops}}}");
+    out
 }
 
 /// Durability counters for the `stats` body — present only on servers
@@ -313,6 +358,17 @@ pub struct DurabilityStats {
     pub spill_hits: u64,
 }
 
+/// Appends `"name": value` counter members separated by `, `.
+fn counters(out: &mut String, members: &[(&str, u64)]) {
+    for (i, (name, value)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        quote_into(out, name);
+        let _ = write!(out, ": {value}");
+    }
+}
+
 /// Builds the `stats` response body: epoch identity, session cache
 /// counters, tier-2 simulation counters, scheduler counters and — on a
 /// durable server — recovery and spill counters.
@@ -325,65 +381,115 @@ pub fn stats_body(
     queue_depth: usize,
     durability: Option<&DurabilityStats>,
 ) -> String {
-    let durability = durability.map_or_else(String::new, |d| {
-        format!(
-            "\"durability\": {{\"replica\": {}, \"recovered_snapshot_epoch\": {}, \
-             \"replayed_deltas\": {}, \"warm_entries\": {}, \"spill_hits\": {}}},\n",
-            d.replica,
-            d.snapshot_epoch
-                .map_or_else(|| "null".to_owned(), |e| e.to_string()),
-            d.replayed_deltas,
-            d.warm_entries,
-            d.spill_hits,
-        )
-    });
-    format!(
-        "{{\"epoch\": {}, \"digest\": {},\n\
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
-         \"evictions\": {}, \"repairs\": {}}},\n\
-         \"sim\": {{\"evaluations\": {}, \"survivors\": {}, \"trials\": {}, \
-         \"reused_rows\": {}, \"millis\": {}}},\n\
-         {durability}\
-         \"scheduler\": {{\"admitted\": {}, \"rejected\": {}, \
-         \"fast_path_hits\": {}, \"batches\": {}, \"batched_requests\": {}, \
-         \"coalesced\": {}, \"max_batch\": {}, \"deltas_applied\": {}, \
-         \"background_repairs\": {}, \"queue_depth\": {queue_depth}}}}}\n",
-        snapshot.epoch().get(),
-        snapshot.digest(),
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        cache.evictions,
-        cache.repairs,
-        sim.evaluations,
-        sim.survivors,
-        sim.trials,
-        sim.reused_rows,
-        sim.millis,
-        sched.admitted,
-        sched.rejected,
-        sched.fast_path_hits,
-        sched.batches,
-        sched.batched_requests,
-        sched.coalesced,
-        sched.max_batch,
-        sched.deltas_applied,
-        sched.background_repairs,
-    )
+    let mut out = String::with_capacity(640);
+    epoch_head(&mut out, snapshot);
+    out.push_str(",\n\"cache\": {");
+    counters(
+        &mut out,
+        &[
+            ("hits", cache.hits),
+            ("misses", cache.misses),
+            ("entries", cache.entries as u64),
+            ("evictions", cache.evictions),
+            ("repairs", cache.repairs),
+        ],
+    );
+    out.push_str("},\n\"sim\": {");
+    counters(
+        &mut out,
+        &[
+            ("evaluations", sim.evaluations),
+            ("survivors", sim.survivors),
+            ("trials", sim.trials),
+            ("reused_rows", sim.reused_rows),
+            ("millis", sim.millis),
+        ],
+    );
+    out.push_str("},\n");
+    if let Some(d) = durability {
+        out.push_str(if d.replica {
+            "\"durability\": {\"replica\": true, \"recovered_snapshot_epoch\": "
+        } else {
+            "\"durability\": {\"replica\": false, \"recovered_snapshot_epoch\": "
+        });
+        match d.snapshot_epoch {
+            Some(epoch) => {
+                let _ = write!(out, "{epoch}");
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str(", ");
+        counters(
+            &mut out,
+            &[
+                ("replayed_deltas", d.replayed_deltas),
+                ("warm_entries", d.warm_entries),
+                ("spill_hits", d.spill_hits),
+            ],
+        );
+        out.push_str("},\n");
+    }
+    out.push_str("\"scheduler\": {");
+    counters(
+        &mut out,
+        &[
+            ("admitted", sched.admitted),
+            ("rejected", sched.rejected),
+            ("fast_path_hits", sched.fast_path_hits),
+            ("batches", sched.batches),
+            ("batched_requests", sched.batched_requests),
+            ("coalesced", sched.coalesced),
+            ("max_batch", sched.max_batch),
+            ("deltas_applied", sched.deltas_applied),
+            ("background_repairs", sched.background_repairs),
+            ("queue_depth", queue_depth as u64),
+        ],
+    );
+    out.push_str("}}\n");
+    out
 }
 
-/// Writes one framed response: `status SP nbytes LF body`.
+/// Writes one framed response, `status SP nbytes LF body`, with a
+/// single vectored write: the header and the body leave in one
+/// syscall (one segment on a `TCP_NODELAY` socket when it fits) with
+/// no copy of the body. A short write is finished with `write_all`.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_response(w: &mut impl Write, ok: bool, body: &str) -> io::Result<()> {
     debug_assert!(body.ends_with('\n'), "response bodies end in a newline");
-    let status = if ok { "ok" } else { "err" };
-    w.write_all(format!("{status} {}\n", body.len()).as_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut header = [0u8; HEADER_MAX];
+    let header_len = {
+        let mut cursor = header.as_mut_slice();
+        let status = if ok { "ok" } else { "err" };
+        writeln!(cursor, "{status} {}", body.len())?;
+        HEADER_MAX - cursor.len()
+    };
+    let (header, _) = header.split_at(header_len);
+    let body = body.as_bytes();
+    let written = loop {
+        match w.write_vectored(&[IoSlice::new(header), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    w.write_all(header.get(written..).unwrap_or_default())?;
+    w.write_all(
+        body.get(written.saturating_sub(header.len())..)
+            .unwrap_or_default(),
+    )?;
     w.flush()
 }
+
+/// Longest response header: `err`, a space, a `u64` length and `\n`.
+const HEADER_MAX: usize = 3 + 1 + 20 + 1;
+
+/// Most body bytes [`Client::read_response`] reserves before any
+/// arrive.
+const BODY_PREALLOC: u64 = 64 * 1024;
 
 /// A minimal blocking protocol client — used by the test suites, the
 /// `--self-test` smoke mode and the load generator.
@@ -487,14 +593,25 @@ impl Client {
                 ))
             }
         };
-        let len: usize = len.parse().map_err(|_| {
+        let len: u64 = len.parse().map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("bad response length {len:?}"),
             )
         })?;
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
+        // The header's length is the peer's claim, not an allocation
+        // size: the body buffer grows only as bytes actually arrive.
+        let mut body = Vec::with_capacity(len.min(BODY_PREALLOC) as usize);
+        (&mut self.reader).take(len).read_to_end(&mut body)?;
+        if (body.len() as u64) < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "connection closed after {} of {len} response body bytes",
+                    body.len()
+                ),
+            ));
+        }
         let body = String::from_utf8(body)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
         Ok((ok, body))
@@ -578,6 +695,75 @@ mod tests {
         ] {
             assert!(!kind.as_str().is_empty());
         }
+    }
+
+    /// A writer that counts its write calls (plain and vectored) and
+    /// accepts at most `limit` bytes per call.
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        limit: usize,
+    }
+
+    impl Counting {
+        fn new(limit: usize) -> Self {
+            Self {
+                bytes: Vec::new(),
+                writes: 0,
+                limit,
+            }
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut room = self.limit;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.limit - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_frame_is_one_write() {
+        let big = format!("{}\n", "x".repeat(300 * 1024));
+        for (ok, body) in [(true, "{\"pong\": true}\n"), (false, big.as_str())] {
+            let mut w = Counting::new(usize::MAX);
+            write_response(&mut w, ok, body).unwrap();
+            assert_eq!(w.writes, 1, "one write for a {}-byte body", body.len());
+            let status = if ok { "ok" } else { "err" };
+            let expected = format!("{status} {}\n{body}", body.len());
+            assert_eq!(w.bytes, expected.as_bytes());
+        }
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_whole_frame() {
+        let body = "{\"pong\": true}\n";
+        for limit in [1, 2, 4, 9, 10, 11, 64] {
+            let mut w = Counting::new(limit);
+            write_response(&mut w, true, body).unwrap();
+            assert_eq!(w.bytes, format!("ok {}\n{body}", body.len()).as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_zero_length_write_is_an_error_not_a_spin() {
+        let mut w = Counting::new(0);
+        let err = write_response(&mut w, true, "{}\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

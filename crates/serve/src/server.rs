@@ -10,6 +10,17 @@
 //! thread only parses, probes the cache, and waits on its reply
 //! channel.
 //!
+//! A connection reuses its buffers across requests: one buffer in, one
+//! write out. Request lines are split out of one read buffer whose
+//! newline search resumes where it stopped, so every received byte is
+//! examined once and a line is handed out as a borrowed slice. Each
+//! response body is rendered into one reused body buffer and sent with
+//! a single [`write_response`]. A buffer a big frame or a full `query`
+//! body grew is released once served, so an idle connection pins
+//! little memory. Rendered bodies are not cached: a body per
+//! `(plan key, epoch)` would grow peak memory with every hot plan and
+//! every epoch, while rendering a hit allocates nothing per value.
+//!
 //! Every `query`/`top` request is answered **at its admission epoch**:
 //! the handler snapshots the store before probing the cache or
 //! submitting, and serializes the body against that snapshot's catalog.
@@ -19,6 +30,7 @@
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -26,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use f1_components::CatalogDelta;
 use f1_skyline::plan::QueryPlan;
-use f1_skyline::session::Session;
+use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::SkylineError;
 use f1_store::{DurableStore, SpillRecord};
 
@@ -306,9 +318,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 /// What one attempt to pull a frame off the wire produced.
-enum Frame {
-    /// A complete request line (newline stripped).
-    Line(String),
+enum Frame<'a> {
+    /// A complete request line (newline and trailing `\r` stripped),
+    /// borrowed from the connection's [`FrameReader`].
+    Line(&'a str),
     /// The peer closed the connection (or an unrecoverable I/O error).
     Closed,
     /// The frame exceeded `max_frame` before its newline arrived.
@@ -317,30 +330,125 @@ enum Frame {
     Invalid,
 }
 
-/// Reads one newline-terminated frame from raw bytes. Hand-rolled
-/// (rather than `BufRead::read_line`) so a read timeout mid-frame
-/// never drops partially received bytes and the size cap is enforced
-/// *before* the newline arrives.
-fn read_frame(stream: &TcpStream, buffer: &mut Vec<u8>, shared: &Shared) -> Frame {
-    let mut chunk = [0u8; 8192];
-    loop {
-        if let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-            if pos > shared.max_frame {
-                return Frame::TooBig;
+/// Where [`FrameReader::split`] left the received bytes.
+#[derive(Debug, PartialEq, Eq)]
+enum Split {
+    /// A complete frame: these buffer bytes, newline excluded.
+    Line(Range<usize>),
+    /// No newline yet; more bytes are needed.
+    Partial,
+    /// The pending frame already exceeds the size cap.
+    TooBig,
+}
+
+/// Bytes requested from the socket per read.
+const READ_CHUNK: usize = 8192;
+
+/// Buffer capacity a connection keeps between requests. A larger
+/// frame or body is served, then its buffer is released, so an idle
+/// connection never pins a big `delta` frame or `query` body.
+const RETAINED_BUFFER: usize = 16 * 1024;
+
+/// Splits a connection's byte stream into newline-terminated frames
+/// in one reused buffer. The newline search resumes where the last one
+/// stopped, so each received byte is examined once however many reads
+/// a frame spans, and a frame is handed out as a slice of the buffer —
+/// never drained, collected or copied. Hand-rolled (rather than
+/// `BufRead::read_line`) so a read timeout mid-frame never drops
+/// partially received bytes and the size cap is enforced *before* the
+/// newline arrives.
+#[derive(Debug, Default)]
+struct FrameReader {
+    /// Received bytes live in `buf[start..filled]`; the rest of `buf`
+    /// is reusable read space.
+    buf: Vec<u8>,
+    /// Start of the first frame not yet handed out.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline.
+    scanned: usize,
+    /// End of the received bytes.
+    filled: usize,
+    /// Bytes the newline search has looked at, over the reader's life.
+    examined: usize,
+}
+
+impl FrameReader {
+    /// Finds the next complete frame among the received bytes,
+    /// searching only bytes no earlier call examined.
+    fn split(&mut self, max_frame: usize) -> Split {
+        let unscanned = self.buf.get(self.scanned..self.filled).unwrap_or_default();
+        match unscanned.iter().position(|&b| b == b'\n') {
+            Some(offset) => {
+                self.examined += offset + 1;
+                let newline = self.scanned + offset;
+                if newline - self.start > max_frame {
+                    return Split::TooBig;
+                }
+                let line = self.start..newline;
+                self.start = newline + 1;
+                self.scanned = self.start;
+                Split::Line(line)
             }
-            let line: Vec<u8> = buffer.drain(..=pos).collect();
-            return match String::from_utf8(line) {
-                Ok(s) => Frame::Line(s.trim_end_matches(['\r', '\n']).to_owned()),
-                Err(_) => Frame::Invalid,
-            };
+            None => {
+                self.examined += unscanned.len();
+                self.scanned = self.filled;
+                if self.filled - self.start > max_frame {
+                    Split::TooBig
+                } else {
+                    Split::Partial
+                }
+            }
         }
-        if buffer.len() > shared.max_frame {
-            return Frame::TooBig;
+    }
+
+    /// The bytes of a frame [`split`](Self::split) returned.
+    fn bytes(&self, line: Range<usize>) -> &[u8] {
+        self.buf.get(line).unwrap_or_default()
+    }
+
+    /// Reads more bytes from `source`. Frames already handed out are
+    /// dropped first by moving the pending tail to the front, and a
+    /// buffer a big frame grew beyond [`RETAINED_BUFFER`] is shrunk back
+    /// once that frame is gone.
+    fn fill(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.scanned -= self.start;
+            self.start = 0;
+            if self.buf.capacity() > RETAINED_BUFFER && self.filled + READ_CHUNK <= RETAINED_BUFFER
+            {
+                self.buf.truncate(RETAINED_BUFFER);
+                self.buf.shrink_to(RETAINED_BUFFER);
+            }
         }
-        match (&*stream).read(&mut chunk) {
+        if self.buf.len() < self.filled + READ_CHUNK {
+            self.buf.resize(self.filled + READ_CHUNK, 0);
+        }
+        let space = self.buf.get_mut(self.filled..).unwrap_or_default();
+        let n = source.read(space)?;
+        self.filled += n;
+        Ok(n)
+    }
+}
+
+/// Reads one newline-terminated frame, reading from the socket only
+/// when the bytes already received hold no complete frame.
+fn read_frame<'a>(stream: &TcpStream, frames: &'a mut FrameReader, shared: &Shared) -> Frame<'a> {
+    loop {
+        match frames.split(shared.max_frame) {
+            Split::Line(line) => {
+                return match std::str::from_utf8(frames.bytes(line)) {
+                    Ok(line) => Frame::Line(line.trim_end_matches('\r')),
+                    Err(_) => Frame::Invalid,
+                }
+            }
+            Split::TooBig => return Frame::TooBig,
+            Split::Partial => {}
+        }
+        match frames.fill(&mut &*stream) {
             Ok(0) => return Frame::Closed,
-            // analyze::allow(indexing, reason = "Read::read returns n <= chunk.len() by contract")
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -355,37 +463,63 @@ fn read_frame(stream: &TcpStream, buffer: &mut Vec<u8>, shared: &Shared) -> Fram
     }
 }
 
+/// A connection's write side: every response is rendered into one
+/// reused body buffer and leaves in one [`write_response`].
+struct Responder {
+    stream: TcpStream,
+    body: String,
+}
+
+impl Responder {
+    /// Sends a body rendered elsewhere (cold verbs, static bodies).
+    fn send(&mut self, ok: bool, body: &str) {
+        let _ = write_response(&mut self.stream, ok, body);
+    }
+
+    /// Renders an `ok` body into the reused buffer and sends it. A body
+    /// that outgrew [`RETAINED_BUFFER`] (a full `query` document) is
+    /// released after its write.
+    fn render(&mut self, render: impl FnOnce(&mut String)) {
+        self.body.clear();
+        render(&mut self.body);
+        let _ = write_response(&mut self.stream, true, &self.body);
+        if self.body.capacity() > RETAINED_BUFFER {
+            self.body = String::new();
+        }
+    }
+
+    /// Sends a structured error body.
+    fn error(&mut self, kind: ErrorKind, message: &str) {
+        self.send(false, &error_body(kind, message));
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+    let mut out = match stream.try_clone() {
+        Ok(stream) => Responder {
+            stream,
+            body: String::new(),
+        },
         Err(_) => return,
     };
-    let mut buffer = Vec::new();
+    let mut frames = FrameReader::default();
     loop {
-        let line = match read_frame(&stream, &mut buffer, shared) {
+        let line = match read_frame(&stream, &mut frames, shared) {
             Frame::Line(line) => line,
             Frame::Closed => return,
             Frame::TooBig => {
                 // The rest of the oversized frame is unread: answer,
                 // then close — there is no way to resynchronize.
-                let _ = write_response(
-                    &mut writer,
-                    false,
-                    &error_body(
-                        ErrorKind::Protocol,
-                        &format!("request exceeds {} bytes", shared.max_frame),
-                    ),
+                out.error(
+                    ErrorKind::Protocol,
+                    &format!("request exceeds {} bytes", shared.max_frame),
                 );
                 return;
             }
             Frame::Invalid => {
-                let _ = write_response(
-                    &mut writer,
-                    false,
-                    &error_body(ErrorKind::Protocol, "request is not valid UTF-8"),
-                );
+                out.error(ErrorKind::Protocol, "request is not valid UTF-8");
                 return;
             }
         };
@@ -394,19 +528,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         // the connection silently — the peer gets a structured
         // `err internal` frame and the connection stays usable.
         let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_request(&line, &mut writer, shared)
+            handle_request(line, &mut out, shared)
         }));
         let keep_open = match dispatched {
             Ok(keep_open) => keep_open,
             Err(payload) => {
                 let what = panic_message(payload.as_ref());
-                let _ = write_response(
-                    &mut writer,
-                    false,
-                    &error_body(
-                        ErrorKind::Internal,
-                        &format!("request handler panicked: {what}"),
-                    ),
+                out.error(
+                    ErrorKind::Internal,
+                    &format!("request handler panicked: {what}"),
                 );
                 true
             }
@@ -431,7 +561,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// open. Semantic errors (bad plan key, unknown ids, full queue) are
 /// structured `err` responses on a live connection — only framing
 /// violations and shutdown close it.
-fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
+fn handle_request(line: &str, out: &mut Responder, shared: &Shared) -> bool {
     if shared.fault_injection && line == "panic" {
         // analyze::allow(panic, reason = "test-only fault injection behind ServeConfig::fault_injection, default off")
         panic!("injected fault (ServeConfig::fault_injection)");
@@ -441,13 +571,13 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(reason) => {
-            let _ = write_response(writer, false, &error_body(ErrorKind::Protocol, &reason));
+            out.error(ErrorKind::Protocol, &reason);
             return true;
         }
     };
     match request {
         Request::Ping => {
-            let _ = write_response(writer, true, "{\"pong\": true}\n");
+            out.send(true, "{\"pong\": true}\n");
             true
         }
         Request::Stats => {
@@ -470,18 +600,14 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
                 scheduler.queue_depth(),
                 durability.as_ref(),
             );
-            let _ = write_response(writer, true, &body);
+            out.send(true, &body);
             true
         }
         Request::Delta { json } => {
             if shared.durability.as_ref().is_some_and(|d| d.replica) {
-                let _ = write_response(
-                    writer,
-                    false,
-                    &error_body(
-                        ErrorKind::Delta,
-                        "this server is a read-only replica; apply deltas to the primary",
-                    ),
+                out.error(
+                    ErrorKind::Delta,
+                    "this server is a read-only replica; apply deltas to the primary",
                 );
                 return true;
             }
@@ -489,29 +615,22 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
                 .and_then(|delta| scheduler.apply_delta(&delta).map(|s| (delta, s)));
             match outcome {
                 Ok((delta, snapshot)) => {
-                    let body = protocol::delta_body(&snapshot, delta.op_count());
-                    let _ = write_response(writer, true, &body);
+                    out.send(true, &protocol::delta_body(&snapshot, delta.op_count()));
                 }
-                Err(e) => {
-                    let _ = write_response(
-                        writer,
-                        false,
-                        &error_body(ErrorKind::Delta, &format!("{e}")),
-                    );
-                }
+                Err(e) => out.error(ErrorKind::Delta, &format!("{e}")),
             }
             true
         }
         Request::Query { key } => {
-            answer_plan(&key, None, writer, shared);
+            answer_plan(&key, None, out, shared);
             true
         }
         Request::Top { k, key } => {
-            answer_plan(&key, Some(k), writer, shared);
+            answer_plan(&key, Some(k), out, shared);
             true
         }
         Request::Shutdown => {
-            let _ = write_response(writer, true, "{\"shutting_down\": true}\n");
+            out.send(true, "{\"shutting_down\": true}\n");
             shared.shutdown.store(true, Ordering::Release);
             false
         }
@@ -580,20 +699,19 @@ fn validate_ids(plan: &QueryPlan, catalog: &f1_components::Catalog) -> Result<()
 /// the memo cache (fast path, no queue), otherwise parse + validate the
 /// plan, submit to the scheduler and serialize the reply against the
 /// admission snapshot.
-fn answer_plan(key: &str, top_k: Option<usize>, writer: &mut TcpStream, shared: &Shared) {
+fn answer_plan(key: &str, top_k: Option<usize>, out: &mut Responder, shared: &Shared) {
     let scheduler = &shared.scheduler;
     let session = scheduler.session();
     let snapshot = session.store().current();
-    let respond = |writer: &mut TcpStream, result: &f1_skyline::session::ResultSet, cached| {
-        let body = match top_k {
-            Some(k) => protocol::top_body(k, result, &snapshot, cached),
-            None => protocol::query_body(result, &snapshot, cached),
-        };
-        let _ = write_response(writer, true, &body);
+    let respond = |out: &mut Responder, result: &ResultSet, cached| {
+        out.render(|body| match top_k {
+            Some(k) => protocol::write_top_body(body, k, result, &snapshot, cached),
+            None => protocol::write_query_body(body, result, &snapshot, cached),
+        });
     };
     if let Some(result) = session.cached_at(key, snapshot.epoch()) {
         scheduler.note_fast_path_hit();
-        respond(writer, &result, true);
+        respond(out, &result, true);
         return;
     }
     // Warm-cache restore: a memo miss can still be answered from the
@@ -609,8 +727,7 @@ fn answer_plan(key: &str, top_k: Option<usize>, writer: &mut TcpStream, shared: 
             {
                 scheduler.note_fast_path_hit();
                 durability.spill_hits.fetch_add(1, Ordering::Relaxed);
-                let body = protocol::warm_query_body(body, &snapshot, true);
-                let _ = write_response(writer, true, &body);
+                out.send(true, &protocol::warm_query_body(body, &snapshot, true));
                 return;
             }
         }
@@ -625,33 +742,21 @@ fn answer_plan(key: &str, top_k: Option<usize>, writer: &mut TcpStream, shared: 
     let receiver = match submitted {
         Ok(Ok(receiver)) => receiver,
         Ok(Err(SubmitError::Overloaded)) => {
-            let _ = write_response(
-                writer,
-                false,
-                &error_body(ErrorKind::Overloaded, "admission queue is full, retry"),
-            );
+            out.error(ErrorKind::Overloaded, "admission queue is full, retry");
             return;
         }
         Ok(Err(SubmitError::ShuttingDown)) => {
-            let _ = write_response(
-                writer,
-                false,
-                &error_body(ErrorKind::Overloaded, "server is shutting down"),
-            );
+            out.error(ErrorKind::Overloaded, "server is shutting down");
             return;
         }
         Err(e) => {
-            let _ = write_response(
-                writer,
-                false,
-                &error_body(error_kind_for(&e), &format!("{e}")),
-            );
+            out.error(error_kind_for(&e), &format!("{e}"));
             return;
         }
     };
     match receiver.recv() {
         Ok(Ok(result)) => {
-            respond(writer, &result, false);
+            respond(out, &result, false);
             // Write-behind spill: the freshly computed result is
             // persisted under its canonical key so a restarted server
             // can answer it byte-identically from disk.
@@ -668,19 +773,120 @@ fn answer_plan(key: &str, top_k: Option<usize>, writer: &mut TcpStream, shared: 
                 }
             }
         }
-        Ok(Err(e)) => {
-            let _ = write_response(
-                writer,
-                false,
-                &error_body(error_kind_for(&e), &format!("{e}")),
-            );
+        Ok(Err(e)) => out.error(error_kind_for(&e), &format!("{e}")),
+        Err(_) => out.error(ErrorKind::Internal, "executor dropped the request"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A byte source that hands out at most `piece` bytes per read.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        piece: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.piece.min(buf.len()).min(self.data.len());
+            let (head, rest) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = rest;
+            Ok(n)
         }
-        Err(_) => {
-            let _ = write_response(
-                writer,
-                false,
-                &error_body(ErrorKind::Internal, "executor dropped the request"),
-            );
+    }
+
+    /// Drives `split`/`fill` until a frame, the cap or the end of input.
+    fn next(frames: &mut FrameReader, source: &mut impl Read, max_frame: usize) -> Option<Split> {
+        loop {
+            match frames.split(max_frame) {
+                Split::Partial => {}
+                done => return Some(done),
+            }
+            if frames.fill(source).unwrap() == 0 {
+                return None;
+            }
         }
+    }
+
+    #[test]
+    fn a_near_max_frame_is_scanned_once_across_its_reads() {
+        let len = DEFAULT_MAX_FRAME - 1;
+        let mut data = vec![b'x'; len];
+        data.push(b'\n');
+        let mut source = Pieces {
+            data: &data,
+            piece: READ_CHUNK,
+        };
+        let mut frames = FrameReader::default();
+        let Some(Split::Line(line)) = next(&mut frames, &mut source, DEFAULT_MAX_FRAME) else {
+            panic!("a frame under the cap splits out whole");
+        };
+        assert_eq!(line.len(), len);
+        assert!(frames.bytes(line).iter().all(|&b| b == b'x'));
+        // Every byte examined exactly once — rescanning the buffer after
+        // each 8 KiB read would examine ~len²/16 KiB bytes instead.
+        assert_eq!(frames.examined, len + 1);
+    }
+
+    #[test]
+    fn pipelined_frames_split_in_order_without_rescanning() {
+        let data = b"ping\nstats\r\ntop 5 key\npartial";
+        let mut source = Pieces { data, piece: 7 };
+        let mut frames = FrameReader::default();
+        let mut lines = Vec::new();
+        while let Some(Split::Line(line)) = next(&mut frames, &mut source, 64) {
+            lines.push(String::from_utf8(frames.bytes(line).to_vec()).unwrap());
+        }
+        assert_eq!(lines, ["ping", "stats\r", "top 5 key"]);
+        assert_eq!(frames.examined, data.len());
+        assert_eq!(frames.split(64), Split::Partial);
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_their_newline() {
+        let data = vec![b'y'; 3 * READ_CHUNK];
+        let mut source = Pieces {
+            data: &data,
+            piece: READ_CHUNK,
+        };
+        let mut frames = FrameReader::default();
+        assert_eq!(
+            next(&mut frames, &mut source, READ_CHUNK + 10),
+            Some(Split::TooBig)
+        );
+        // A newline past the cap is refused too.
+        let mut data = vec![b'z'; 40];
+        data.push(b'\n');
+        let mut frames = FrameReader::default();
+        let mut source = Pieces {
+            data: &data,
+            piece: 64,
+        };
+        assert_eq!(next(&mut frames, &mut source, 39), Some(Split::TooBig));
+    }
+
+    #[test]
+    fn a_big_frame_releases_its_buffer_once_served() {
+        let mut data = vec![b'd'; 4 * RETAINED_BUFFER];
+        data.extend_from_slice(b"\nping\n");
+        let mut source = Pieces {
+            data: &data,
+            piece: READ_CHUNK,
+        };
+        let mut frames = FrameReader::default();
+        assert!(matches!(
+            next(&mut frames, &mut source, DEFAULT_MAX_FRAME),
+            Some(Split::Line(_))
+        ));
+        assert!(frames.buf.capacity() > RETAINED_BUFFER);
+        let Some(Split::Line(line)) = next(&mut frames, &mut source, DEFAULT_MAX_FRAME) else {
+            panic!("the next frame splits out");
+        };
+        assert_eq!(frames.bytes(line), b"ping");
+        assert!(next(&mut frames, &mut source, DEFAULT_MAX_FRAME).is_none());
+        assert!(frames.buf.capacity() <= RETAINED_BUFFER);
     }
 }

@@ -306,3 +306,48 @@ fn repeat_queries_hit_the_cache_fast_path() {
     assert_eq!(stats.admitted, 1);
     server.shutdown();
 }
+
+/// Serves one connection with a canned reply: reads the request line,
+/// writes `reply` verbatim, then closes.
+fn fake_server(reply: &'static [u8]) -> std::net::SocketAddr {
+    use std::io::{BufRead, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("fake server binds");
+    let addr = listener.local_addr().expect("fake server address");
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("client connects");
+        let mut line = String::new();
+        let _ = std::io::BufReader::new(&stream).read_line(&mut line);
+        let _ = (&stream).write_all(reply);
+    });
+    addr
+}
+
+#[test]
+fn a_lying_response_length_is_an_error_not_an_allocation() {
+    // Each header claims far more body than the peer sends. The client
+    // must read what arrives and report the short body — not reserve
+    // the claimed length up front (1 TiB aborts the process on a
+    // failed allocation; u64::MAX overflows capacity).
+    for reply in [
+        &b"ok 1099511627776\n"[..],
+        b"ok 18446744073709551615\n",
+        b"err 4096\n{\"error\": {\"kind\": \"internal\"",
+    ] {
+        let mut c = Client::connect(fake_server(reply)).expect("client connects");
+        c.set_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout set");
+        let err = c.request("ping").expect_err("a short body is an error");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof,
+            "{:?}: {err}",
+            String::from_utf8_lossy(reply)
+        );
+    }
+    // An honest length still reads through the same path.
+    let mut c = Client::connect(fake_server(b"ok 15\n{\"pong\": true}\n")).expect("connects");
+    assert_eq!(
+        c.request("ping").expect("whole body"),
+        (true, "{\"pong\": true}\n".to_owned())
+    );
+}

@@ -40,17 +40,18 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
-use f1_components::json::{fmt_number, quote};
+use f1_components::json::{number_into, quote_into};
 use f1_components::{
     AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComputeId, EpochSnapshot,
     SensorId, ThroughputTable,
 };
 
 use crate::plan::QueryPlan;
-use crate::query::{Objective, QueryPoint};
+use crate::query::{KnobSetting, Objective, QueryPoint};
 use crate::shard::{run_plans, PassContext};
 use crate::tier2::{SharedTier2, SimBlock, SimStats, Tier2Context};
 use crate::SkylineError;
@@ -408,11 +409,12 @@ impl ResultSet {
     }
 
     /// Non-panicking [`row`](Self::row): the objective values of point
-    /// `index` across the columns, `None` when the index is out of
-    /// range or unstored in a streamed result.
+    /// `index` across the columns, without gathering them into a
+    /// vector; `None` when the index is out of range or unstored in a
+    /// streamed result.
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "row index is a binary_search hit or checked against len(); columns are row-aligned")
-    pub fn try_row(&self, index: usize) -> Option<Vec<f64>> {
+    pub fn try_row(&self, index: usize) -> Option<impl Iterator<Item = f64> + '_> {
         if index >= self.len() {
             return None;
         }
@@ -420,7 +422,7 @@ impl ResultSet {
             Some(meta) => meta.stored.binary_search(&index).ok()?,
             None => index,
         };
-        Some(self.columns.iter().map(|c| c[r]).collect())
+        Some(self.columns.iter().map(move |c| c[r]))
     }
 
     /// Every kept point as a contiguous slice, in enumeration order.
@@ -772,104 +774,76 @@ impl ResultSet {
     /// columns (column-major, `null` for non-finite values — JSON has
     /// no `Infinity`), the catalog-resolved build identity of every
     /// point, the frontier indices and the accounting counters. The
-    /// catalog must be the one the plan executed against.
+    /// catalog must be the one the plan executed against. A thin
+    /// wrapper over [`write_json`](Self::write_json).
     ///
     /// A streamed result exports its stored (frontier ∪ top-k) rows
     /// plus a `"stored"` array mapping each row to its global index
     /// (`"count"` stays the logical kept count), so consumers can tell
     /// the modes apart.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "pos enumerates self.objectives; columns are objective-aligned by construction")
     pub fn to_json(&self, catalog: &Catalog) -> String {
-        let number = |v: f64| fmt_number(v).unwrap_or_else(|| "null".to_owned());
-        let mut out = String::with_capacity(64 + self.len() * 96);
+        let mut out = String::new();
+        self.write_json(&mut out, catalog);
+        out
+    }
+
+    /// [`to_json`](Self::to_json) appending into `out`: the serving
+    /// tier renders a `query` body straight into its response buffer,
+    /// with no per-value allocation and no intermediate document copy.
+    pub fn write_json(&self, out: &mut String, catalog: &Catalog) {
+        out.reserve(64 + self.rows_len() * 96);
         out.push_str("{\n  \"objectives\": [");
         for (i, o) in self.objectives.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!(
-                "{{\"label\": {}, \"unit\": {}, \"maximize\": {}}}",
-                quote(o.label()),
-                quote(o.unit()),
-                o.maximize()
-            ));
+            out.push_str("{\"label\": ");
+            quote_into(out, o.label());
+            out.push_str(", \"unit\": ");
+            quote_into(out, o.unit());
+            out.push_str(", \"maximize\": ");
+            out.push_str(bool_str(o.maximize()));
+            out.push('}');
         }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"count\": {}, \"dropped\": {}, \"uncharacterized\": {}, \"nonfinite\": {},\n",
+        let _ = write!(
+            out,
+            "],\n  \"count\": {}, \"dropped\": {}, \"uncharacterized\": {}, \"nonfinite\": {},\n",
             self.len(),
             self.dropped,
             self.uncharacterized,
             self.nonfinite
-        ));
+        );
         if let Some(meta) = &self.streamed {
             out.push_str("  \"stored\": [");
-            for (i, g) in meta.stored.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&g.to_string());
-            }
+            push_indices(out, &meta.stored);
             out.push_str("],\n");
         }
         out.push_str("  \"columns\": {");
-        for (pos, objective) in self.objectives.iter().enumerate() {
+        for (pos, (objective, column)) in self.objectives.iter().zip(&self.columns).enumerate() {
             if pos > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&quote(objective.label()));
+            quote_into(out, objective.label());
             out.push_str(": [");
-            for (i, v) in self.columns[pos].iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&number(*v));
-            }
+            push_numbers(out, column);
             out.push(']');
         }
         out.push_str("},\n  \"builds\": [");
         for i in 0..self.rows_len() {
-            let point = self.point(self.row_global(i));
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    {\"airframe\": ");
-            out.push_str(&quote(catalog.airframe_by_id(point.airframe).name()));
-            out.push_str(", \"sensor\": ");
-            out.push_str(&quote(catalog.sensor_by_id(point.candidate.sensor).name()));
-            out.push_str(", \"compute\": ");
-            out.push_str(&quote(
-                catalog.compute_by_id(point.candidate.compute).name(),
-            ));
-            out.push_str(", \"algorithm\": ");
-            out.push_str(&quote(
-                catalog.algorithm_by_id(point.candidate.algorithm).name(),
-            ));
-            out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
+            let point = self.point(self.row_global(i));
+            out.push_str("\n    {");
+            write_point_identity(out, catalog, point);
             if !point.setting.is_identity() {
-                let s = &point.setting;
-                out.push_str(&format!(
-                    ", \"setting\": {{\"tdp_scale\": {}, \"sensor_rate_scale\": {}, \
-                     \"sensor_range_scale\": {}, \"payload_delta_g\": {}, \
-                     \"weight_scale\": {}, \"rotor_pull_scale\": {}}}",
-                    number(s.tdp_scale),
-                    number(s.sensor_rate_scale),
-                    number(s.sensor_range_scale),
-                    number(s.payload_delta.get()),
-                    number(s.weight_scale),
-                    number(s.rotor_pull_scale),
-                ));
+                write_setting(out, &point.setting);
             }
             out.push('}');
         }
         out.push_str("\n  ],\n  \"frontier\": [");
-        for (i, f) in self.frontier.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_string());
-        }
+        push_indices(out, &self.frontier);
         out.push(']');
         if let Some(sim) = &self.sim {
             out.push_str(",\n  \"sim\": {\n    \"objectives\": [");
@@ -877,27 +851,23 @@ impl ResultSet {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
-                    "{{\"label\": {}, \"maximize\": {}}}",
-                    quote(o.label()),
-                    o.maximize()
-                ));
+                out.push_str("{\"label\": ");
+                quote_into(out, o.label());
+                out.push_str(", \"maximize\": ");
+                out.push_str(bool_str(o.maximize()));
+                out.push('}');
             }
             out.push_str("],\n    \"survivors\": [");
             for (i, row) in sim.rows.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "\n      {{\"id\": {}, \"index\": {}, \"values\": [",
                     row.candidate_id, row.index
-                ));
-                for (j, v) in row.values.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&number(*v));
-                }
+                );
+                push_numbers(out, &row.values);
                 out.push_str("]}");
             }
             out.push_str("\n    ],\n    \"report\": [");
@@ -905,26 +875,89 @@ impl ResultSet {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "\n      {{\"objective\": {}, \"analytic\": {}, \"tau\": {}, \
-                     \"agreement\": {}, \"outliers\": [{}]}}",
-                    quote(entry.objective.label()),
-                    quote(entry.analytic.label()),
-                    number(entry.tau),
-                    number(entry.agreement),
-                    entry
-                        .outliers
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ));
+                out.push_str("\n      {\"objective\": ");
+                quote_into(out, entry.objective.label());
+                out.push_str(", \"analytic\": ");
+                quote_into(out, entry.analytic.label());
+                out.push_str(", \"tau\": ");
+                number_into(out, entry.tau);
+                out.push_str(", \"agreement\": ");
+                number_into(out, entry.agreement);
+                out.push_str(", \"outliers\": [");
+                push_indices(out, &entry.outliers);
+                out.push_str("]}");
             }
             out.push_str("\n    ]\n  }");
         }
         out.push_str("\n}\n");
-        out
     }
+}
+
+/// The JSON spelling of a boolean.
+fn bool_str(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+/// Appends `values` comma-separated, `null` for non-finite ones.
+fn push_numbers(out: &mut String, values: &[f64]) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        number_into(out, v);
+    }
+}
+
+/// Appends integer `indices` comma-separated.
+fn push_indices<T: std::fmt::Display>(out: &mut String, indices: &[T]) {
+    for (i, index) in indices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{index}");
+    }
+}
+
+/// Appends a build's catalog-resolved identity as JSON object members:
+/// `"airframe": …, "sensor": …, "compute": …, "algorithm": …,
+/// "feasible": …`. Shared by the `"builds"` rows of
+/// [`ResultSet::to_json`] and the `top` serving body, so both spell a
+/// build the same way. The catalog must be the one the point was
+/// evaluated against.
+pub fn write_point_identity(out: &mut String, catalog: &Catalog, point: &QueryPoint) {
+    out.push_str("\"airframe\": ");
+    quote_into(out, catalog.airframe_by_id(point.airframe).name());
+    out.push_str(", \"sensor\": ");
+    quote_into(out, catalog.sensor_by_id(point.candidate.sensor).name());
+    out.push_str(", \"compute\": ");
+    quote_into(out, catalog.compute_by_id(point.candidate.compute).name());
+    out.push_str(", \"algorithm\": ");
+    quote_into(
+        out,
+        catalog.algorithm_by_id(point.candidate.algorithm).name(),
+    );
+    out.push_str(", \"feasible\": ");
+    out.push_str(bool_str(point.outcome.feasible));
+}
+
+/// Appends a non-identity knob setting as a `, "setting": {…}` member.
+fn write_setting(out: &mut String, setting: &KnobSetting) {
+    for (member, v) in [
+        (", \"setting\": {\"tdp_scale\": ", setting.tdp_scale),
+        (", \"sensor_rate_scale\": ", setting.sensor_rate_scale),
+        (", \"sensor_range_scale\": ", setting.sensor_range_scale),
+        (", \"payload_delta_g\": ", setting.payload_delta.get()),
+        (", \"weight_scale\": ", setting.weight_scale),
+        (", \"rotor_pull_scale\": ", setting.rotor_pull_scale),
+    ] {
+        out.push_str(member);
+        number_into(out, v);
+    }
+    out.push('}');
 }
 
 /// One fixed-size window of a [`ResultSet`], for paged serving.
