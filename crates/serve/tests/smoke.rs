@@ -1,13 +1,14 @@
 //! The CI serve-smoke script: boot a real server, run a scripted
 //! client session covering the whole verb surface, then a concurrent
-//! burst that must coalesce, and shut down cleanly via the protocol.
+//! burst that must coalesce (and, at window 0, must not), and shut down
+//! cleanly via the protocol.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use f1_components::{Catalog, CatalogStore};
 use f1_serve::protocol::Client;
-use f1_serve::{SchedulerConfig, ServeConfig, Server};
+use f1_serve::{SchedulerConfig, SchedulerStats, ServeConfig, Server};
 use f1_skyline::plan::QueryPlan;
 use f1_skyline::query::{Constraint, Objective};
 use f1_skyline::session::Session;
@@ -80,8 +81,10 @@ fn scripted_session_end_to_end() {
     assert!(server.is_shutting_down());
 }
 
-#[test]
-fn concurrent_cold_burst_coalesces_into_shared_batches() {
+/// Fires 8 same-signature cold plans (different TDP caps) from 8
+/// simultaneous clients at a server with the given batch window and
+/// returns the scheduler's counters once every answer is in.
+fn cold_burst_stats(window: Duration) -> SchedulerStats {
     let store = Arc::new(CatalogStore::from_shared(Arc::new(Catalog::paper())));
     let session = Arc::new(Session::over(store));
     let server = Server::start(
@@ -89,7 +92,7 @@ fn concurrent_cold_burst_coalesces_into_shared_batches() {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             scheduler: SchedulerConfig {
-                window: Duration::from_millis(50),
+                window,
                 queue_capacity: 256,
                 max_batch: 64,
                 executors: 2,
@@ -99,9 +102,6 @@ fn concurrent_cold_burst_coalesces_into_shared_batches() {
     )
     .expect("server starts");
     let addr = server.local_addr();
-
-    // 8 clients fire same-signature cold plans (different TDP caps)
-    // simultaneously; the window must fuse most into shared passes.
     let handles: Vec<_> = (0..8)
         .map(|i| {
             std::thread::spawn(move || {
@@ -119,6 +119,13 @@ fn concurrent_cold_burst_coalesces_into_shared_batches() {
         handle.join().expect("client thread");
     }
     let stats = server.scheduler().stats();
+    server.shutdown();
+    stats
+}
+
+#[test]
+fn concurrent_cold_burst_coalesces_into_shared_batches() {
+    let stats = cold_burst_stats(Duration::from_millis(50));
     assert_eq!(stats.admitted, 8);
     assert_eq!(stats.batched_requests, 8);
     assert!(
@@ -126,5 +133,14 @@ fn concurrent_cold_burst_coalesces_into_shared_batches() {
         "a 50 ms window must coalesce an 8-query burst: {stats:?}"
     );
     assert!(stats.coalesced >= 2, "{stats:?}");
-    server.shutdown();
+}
+
+#[test]
+fn concurrent_cold_burst_at_window_zero_runs_one_batch_per_query() {
+    // The serial baseline of the burst above: with no window, every
+    // admitted miss is its own pass.
+    let stats = cold_burst_stats(Duration::ZERO);
+    assert_eq!(stats.admitted, 8);
+    assert_eq!(stats.batches, stats.admitted, "{stats:?}");
+    assert_eq!(stats.coalesced, 0, "{stats:?}");
 }

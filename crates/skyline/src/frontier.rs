@@ -110,10 +110,14 @@ pub fn pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
         3 => sweep3(&order, keys),
         // Crossover dispatch: the divide-and-conquer skyline wins
         // asymptotically, but its recursion overhead grows with the
-        // dimension — at 5+ objectives the running frontier is
-        // measurably faster below a few thousand points
-        // (BENCH_dse.json: ~123 µs vs ~221 µs at 10³ points), while at
-        // 4 objectives d&c already wins by 10³.
+        // dimension — at 5+ objectives the running frontier measured
+        // faster below a few thousand points (~123 µs vs ~221 µs at
+        // 10³ points when this threshold was set), while at 4
+        // objectives d&c already wins by 10³. The `dse` bench's
+        // `dse_synthetic_frontier` group (BENCH_dse.json) times
+        // `pareto5` against `running5` only at 10⁴ and 10⁵; no arm
+        // times d&c below this threshold at 5 objectives, so the
+        // crossover itself is not re-measured.
         _ if dims >= 5 && order.len() <= DC_SMALL_N => running_frontier(dims, keys, &order),
         _ => dc_skyline(dims, keys, &order),
     };

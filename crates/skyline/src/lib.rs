@@ -11,7 +11,7 @@
 //! * [`SystemAnalysis`] — the "Automatic Analysis" pane: bound
 //!   classification, knee, design assessment and optimization tips.
 //! * [`redundancy`] — N-modular-redundancy what-ifs (paper §VI-C).
-//! * [`sweep`] — a crossbeam-parallel parameter sweep engine for
+//! * [`sweep`] — a scoped-thread parallel parameter sweep engine for
 //!   characterization studies (payload sweeps, TDP sweeps, full-system
 //!   matrices).
 //! * [`chart`] — roofline chart construction on top of `f1-plot`.

@@ -109,10 +109,11 @@ pub struct ResultSet {
     objectives: Vec<Objective>,
     /// Point storage **segments**. Segment 0 is the producing pass's
     /// store (the points at least one plan of the batch kept, in
-    /// enumeration order, shared across the batch); incremental delta
-    /// repair splices the slab passes' stores as further segments, so a
-    /// repaired result shares the surviving point rows with the result
-    /// it was repaired from instead of duplicating tens of megabytes.
+    /// enumeration order, shared across the batch); each incremental
+    /// delta repair appends at most one further segment holding the
+    /// re-evaluated points, so a repaired result shares the surviving
+    /// point rows with the result it was repaired from instead of
+    /// duplicating tens of megabytes.
     segments: Vec<Arc<Vec<QueryPoint>>>,
     /// References into `segments` this plan kept, in enumeration order
     /// (`None`: segment 0 *is* the point list).
@@ -1023,9 +1024,10 @@ impl<'a> ResultPage<'a> {
 
 /// Segment-count threshold past which [`Session::refresh`] compacts a
 /// repaired result's spliced point store back into one contiguous
-/// segment. Each delta repair adds roughly one segment per slab pass;
-/// compaction bounds the indirection long-lived sessions accumulate
-/// while keeping the amortized copy cost a small fraction of repairs.
+/// segment. Each delta repair adds at most one segment, so a chain of
+/// repairs reaches the threshold by repair count; compaction bounds the
+/// indirection long-lived sessions accumulate while keeping the
+/// amortized copy cost a small fraction of repairs.
 pub const COMPACT_SEGMENT_THRESHOLD: usize = 8;
 
 /// Cache accounting of a [`Session`].
@@ -1510,9 +1512,9 @@ impl Session {
                     crate::repair::Repair::Repaired(result) => {
                         self.repairs.fetch_add(1, AtomicOrdering::Relaxed);
                         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                        // Chained refreshes splice ~#slabs segments into
-                        // the point store per delta; past the threshold,
-                        // fold them back into one contiguous segment
+                        // Each chained refresh adds at most one segment to
+                        // the point store; past the threshold, fold
+                        // them back into one contiguous segment
                         // (logically equal — only the layout changes) so
                         // long-lived sessions never accumulate unbounded
                         // segment indirection.

@@ -1,4 +1,4 @@
-//! A crossbeam-parallel parameter sweep engine.
+//! A scoped-thread parallel parameter sweep engine.
 //!
 //! Skyline's characterization studies evaluate the model across hundreds of
 //! configurations (payload sweeps for Fig. 9, the full platform × algorithm
@@ -112,34 +112,45 @@ where
     let slots: Vec<Mutex<&mut [Option<R>]>> = out.chunks_mut(chunk_size).map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            let (f, slots, cursor, poisoned) = (&f, &slots, &cursor, &poisoned);
-            scope.spawn(move |_| loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= slots.len() || poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let mut slot = slots[chunk]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let start = chunk * chunk_size;
-                let filled = catch_unwind(AssertUnwindSafe(|| {
-                    for (offset, slot) in slot.iter_mut().enumerate() {
-                        *slot = Some(f(start + offset));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                    if chunk >= slots.len() || poisoned.load(Ordering::Relaxed) {
+                        break;
                     }
-                }));
-                if let Err(payload) = filled {
-                    // Fail fast: stop the other workers from claiming
-                    // further chunks, then let the scope re-raise the
-                    // original panic in the caller.
-                    poisoned.store(true, Ordering::Relaxed);
-                    resume_unwind(payload);
-                }
-            });
+                    let mut slot = slots[chunk]
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let start = chunk * chunk_size;
+                    let filled = catch_unwind(AssertUnwindSafe(|| {
+                        for (offset, slot) in slot.iter_mut().enumerate() {
+                            *slot = Some(f(start + offset));
+                        }
+                    }));
+                    if let Err(payload) = filled {
+                        // Fail fast: stop the other workers from
+                        // claiming further chunks, then hand the
+                        // original panic to the join below.
+                        poisoned.store(true, Ordering::Relaxed);
+                        resume_unwind(payload);
+                    }
+                })
+            })
+            .collect();
+        // Join every worker before re-raising, so the caller sees the
+        // first worker panic with its original payload.
+        let mut panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic.get_or_insert(payload);
+            }
         }
-    })
-    .expect("sweep worker panicked");
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    });
     drop(slots);
     out.into_iter()
         .map(|slot| slot.expect("cursor hands every chunk to exactly one worker"))
@@ -324,8 +335,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        // A panicking evaluation must surface in the caller (crossbeam
-        // re-raises the child's payload), not silently drop results.
+        // A panicking evaluation must surface in the caller (the join
+        // re-raises the worker's payload), not silently drop results.
         let inputs: Vec<i32> = (0..64).collect();
         let _ = parallel_map(inputs, |x| {
             assert!(*x != 33, "boom");

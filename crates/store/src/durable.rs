@@ -8,7 +8,8 @@
 //! 2. **Replay** the epoch log tail past the snapshot. Every record is
 //!    re-applied through the ordinary [`CatalogStore::apply`] path and
 //!    the recomputed digest must equal the recorded one
-//!    ([`StoreError::DigestMismatch`] otherwise); epochs must be
+//!    ([`StoreError::DigestMismatch`] otherwise); epochs must strictly
+//!    rise from record to record ([`StoreError::Corrupt`]) and be
 //!    contiguous ([`StoreError::EpochGap`]).
 //! 3. **Truncate** a torn tail (primary only) — the expected signature
 //!    of a crash mid-append — then attach the write-ahead
@@ -242,10 +243,15 @@ impl DurableStore {
     }
 
     /// A follower positioned just past the records recovery replayed —
-    /// the replica's live feed of subsequent primary appends.
+    /// the replica's live feed of subsequent primary appends. Its first
+    /// record must exceed the recovered epoch.
     #[must_use]
     pub fn tail_reader(&self) -> TailReader {
-        TailReader::new(&self.dir.join(EPOCH_LOG_FILE), self.log_clean_len)
+        TailReader::new(
+            &self.dir.join(EPOCH_LOG_FILE),
+            self.log_clean_len,
+            Some(self.report.epoch),
+        )
     }
 }
 
@@ -476,6 +482,62 @@ mod tests {
             ),
             "{err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn duplicated_epoch_fails_recovery() {
+        let dir = scratch("durable-dup-epoch");
+        {
+            let durable =
+                DurableStore::open(&dir, Catalog::paper, DurableOptions::default()).unwrap();
+            durable.store().apply(&throughput_delta(10.0)).unwrap();
+            durable.store().apply(&throughput_delta(20.0)).unwrap();
+        }
+        // A vetoed epoch-1 record followed by the acknowledged one with
+        // the same epoch number: replay must not pick either silently.
+        let log_path = dir.join(EPOCH_LOG_FILE);
+        let replayed = log::replay(&log_path).unwrap();
+        let mut acknowledged = replayed.records[1].clone();
+        acknowledged.epoch = 1;
+        let vetoed = frame::encode(&replayed.records[0].to_payload());
+        let mut bytes = vetoed.clone();
+        bytes.extend(frame::encode(&acknowledged.to_payload()));
+        std::fs::write(&log_path, bytes).unwrap();
+        let err = DurableStore::open(&dir, Catalog::paper, DurableOptions::default()).unwrap_err();
+        match err {
+            StoreError::Corrupt { offset, .. } => assert_eq!(offset, vetoed.len() as u64),
+            other => panic!("unexpected error {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replica_tail_rejects_a_record_not_above_the_recovered_epoch() {
+        let dir = scratch("durable-tail-epoch");
+        {
+            let durable =
+                DurableStore::open(&dir, Catalog::paper, DurableOptions::default()).unwrap();
+            durable.store().apply(&throughput_delta(10.0)).unwrap();
+        }
+        let replica_options = DurableOptions {
+            replica: true,
+            ..DurableOptions::default()
+        };
+        let replica = DurableStore::open(&dir, Catalog::paper, replica_options).unwrap();
+        assert_eq!(replica.report().epoch, 1);
+        let log_path = dir.join(EPOCH_LOG_FILE);
+        let clean_len = std::fs::metadata(&log_path).unwrap().len();
+        // The first record past the recovery point repeats epoch 1.
+        let repeated = log::replay(&log_path).unwrap().records[0].clone();
+        EpochLog::open_append(&log_path)
+            .unwrap()
+            .append(&repeated)
+            .unwrap();
+        match replica.tail_reader().poll().unwrap_err() {
+            StoreError::Corrupt { offset, .. } => assert_eq!(offset, clean_len),
+            other => panic!("unexpected error {other}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,9 @@
 //!   sequence of framed, checksummed [`CatalogDelta`] records, one per
 //!   `apply`. Appends are a single `write` + `fsync`, so a crash leaves
 //!   at most one torn record at the tail — replay stops at the last
-//!   complete frame and recovery truncates the torn bytes.
+//!   complete frame and recovery truncates the torn bytes. A failed
+//!   append is cut back off and poisons the log until the directory is
+//!   reopened.
 //! * **Snapshots** (`snapshot-<epoch>.json`, [`snapshot`]) — periodic
 //!   whole-catalog checkpoints in the [`CatalogDelta::to_json`] wire
 //!   form plus the throughput matrix's intern orders, written

@@ -130,10 +130,19 @@ pub struct LogReplay {
 
 /// The append half of the epoch log: one framed, checksummed,
 /// fsynced record per publication.
+///
+/// The log **fails closed**: an append whose write or sync fails is
+/// cut back off the file and poisons the log, so every later append
+/// returns [`StoreError::Io`] until the data directory is reopened
+/// (and recovery re-derives the state from what is on disk). Retrying
+/// after a failed `fsync` is unsafe — the kernel may already have
+/// dropped the dirty pages — and appending past a failed record would
+/// write a second record with the same epoch number.
 #[derive(Debug)]
 pub struct EpochLog {
     path: PathBuf,
-    file: Mutex<File>,
+    /// `None` once an append has failed.
+    file: Mutex<Option<File>>,
 }
 
 impl EpochLog {
@@ -153,7 +162,7 @@ impl EpochLog {
             })?;
         Ok(Self {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file: Mutex::new(Some(file)),
         })
     }
 
@@ -161,21 +170,33 @@ impl EpochLog {
     /// by `fsync` — when this returns, the record is durable, and a
     /// crash mid-call tears at most this one frame.
     ///
+    /// On failure the file is truncated back to its length before the
+    /// call (best effort) and the log is poisoned.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on write or sync failure.
+    /// [`StoreError::Io`] on write or sync failure, and on every call
+    /// after one that failed.
     pub fn append(&self, record: &LogRecord) -> Result<(), StoreError> {
         let bytes = frame::encode(&record.to_payload());
         let io = |source: std::io::Error| StoreError::Io {
             path: self.path.clone(),
             source,
         };
-        let mut file = self
+        let mut state = self
             .file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        file.write_all(&bytes).map_err(io)?;
-        file.sync_data().map_err(io)
+        let file = state.as_mut().ok_or_else(|| {
+            io(std::io::Error::other(
+                "epoch log poisoned by an earlier failed append; reopen the data directory",
+            ))
+        })?;
+        let written = append_or_roll_back(file, &bytes);
+        if written.is_err() {
+            *state = None;
+        }
+        written.map_err(io)
     }
 
     /// The log file path.
@@ -185,13 +206,29 @@ impl EpochLog {
     }
 }
 
+/// Writes and syncs `bytes` at the end of `file`; on failure, truncates
+/// the file back to its length before the call. This cuts the failed
+/// record off so replay never sees an epoch the store vetoed. Should
+/// the truncation fail as well, the record stays and recovery replays
+/// it, but the caller's poisoning keeps a second record with the same
+/// epoch from following it.
+fn append_or_roll_back(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
+    let start = file.metadata()?.len();
+    let written = file.write_all(bytes).and_then(|()| file.sync_data());
+    if written.is_err() && file.set_len(start).is_ok() {
+        let _ = file.sync_data();
+    }
+    written
+}
+
 /// Decodes the whole log. A missing file is an empty log (nothing was
 /// ever persisted), a torn tail is reported but tolerated.
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] on read failure, [`StoreError::Corrupt`] for any
-/// complete-but-invalid record.
+/// complete-but-invalid record, or one whose epoch does not exceed the
+/// previous record's.
 pub fn replay(path: &Path) -> Result<LogReplay, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -204,15 +241,46 @@ pub fn replay(path: &Path) -> Result<LogReplay, StoreError> {
         }
     };
     let scan = frame::decode_all(&bytes, path)?;
-    let mut records = Vec::with_capacity(scan.payloads.len());
-    for (offset, payload) in &scan.payloads {
-        records.push(LogRecord::from_payload(payload, path, *offset)?);
-    }
     Ok(LogReplay {
-        records,
+        records: decode_records(&scan.payloads, path, 0, &mut None)?,
         clean_len: scan.clean_len,
         truncated: scan.truncated,
     })
+}
+
+/// Parses a scan's payloads into records. `base` turns the scan's
+/// offsets into file offsets; `last` is the epoch of the record before
+/// the first payload, and comes back as the epoch of the last one.
+///
+/// Epochs must strictly rise from record to record: a repeated or
+/// falling epoch is [`StoreError::Corrupt`], because replaying it would
+/// publish one of two different deltas under the same epoch number.
+fn decode_records(
+    payloads: &[(u64, String)],
+    path: &Path,
+    base: u64,
+    last: &mut Option<u64>,
+) -> Result<Vec<LogRecord>, StoreError> {
+    let mut records = Vec::with_capacity(payloads.len());
+    for (offset, payload) in payloads {
+        let offset = base + offset;
+        let record = LogRecord::from_payload(payload, path, offset)?;
+        if let Some(previous) = *last {
+            if record.epoch <= previous {
+                return Err(StoreError::Corrupt {
+                    path: path.to_path_buf(),
+                    offset,
+                    reason: format!(
+                        "record epoch {} does not follow epoch {previous}",
+                        record.epoch
+                    ),
+                });
+            }
+        }
+        *last = Some(record.epoch);
+        records.push(record);
+    }
+    Ok(records)
 }
 
 /// An incremental log follower: remembers its byte offset and returns
@@ -223,16 +291,21 @@ pub fn replay(path: &Path) -> Result<LogReplay, StoreError> {
 pub struct TailReader {
     path: PathBuf,
     offset: u64,
+    /// Epoch of the last record returned, which the next must exceed.
+    last_epoch: Option<u64>,
 }
 
 impl TailReader {
     /// Starts a follower at `offset` (pass the recovery scan's
     /// `clean_len` to follow from "now", or 0 to re-read everything).
+    /// `after` is the epoch already applied up to `offset`, which the
+    /// first polled record must exceed (`None` when starting at 0).
     #[must_use]
-    pub fn new(path: &Path, offset: u64) -> Self {
+    pub fn new(path: &Path, offset: u64, after: Option<u64>) -> Self {
         Self {
             path: path.to_path_buf(),
             offset,
+            last_epoch: after,
         }
     }
 
@@ -250,7 +323,8 @@ impl TailReader {
     /// # Errors
     ///
     /// [`StoreError::Io`] on read failure, [`StoreError::Corrupt`] for
-    /// a complete-but-invalid record (offsets reported are absolute).
+    /// a complete-but-invalid record or a non-rising epoch (offsets
+    /// reported are absolute).
     pub fn poll(&mut self) -> Result<Vec<LogRecord>, StoreError> {
         let io = |source: std::io::Error| StoreError::Io {
             path: self.path.clone(),
@@ -278,12 +352,10 @@ impl TailReader {
             other => other,
         };
         let scan = frame::decode_all(&bytes, &self.path).map_err(rebase)?;
-        let mut records = Vec::with_capacity(scan.payloads.len());
-        for (offset, payload) in &scan.payloads {
-            records
-                .push(LogRecord::from_payload(payload, &self.path, offset + base).map_err(rebase)?);
-        }
+        let mut last_epoch = self.last_epoch;
+        let records = decode_records(&scan.payloads, &self.path, base, &mut last_epoch)?;
         self.offset = base + scan.clean_len;
+        self.last_epoch = last_epoch;
         Ok(records)
     }
 }
@@ -328,7 +400,7 @@ mod tests {
         assert!(!replayed.truncated);
 
         // A tail reader starting at the clean end sees only new appends.
-        let mut tail = TailReader::new(&path, replayed.clean_len);
+        let mut tail = TailReader::new(&path, replayed.clean_len, Some(2));
         assert!(tail.poll().unwrap().is_empty());
         log.append(&record(3)).unwrap();
         log.append(&record(4)).unwrap();
@@ -357,7 +429,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&full[..full.len() / 2]).unwrap();
         }
-        let mut tail = TailReader::new(&path, 0);
+        let mut tail = TailReader::new(&path, 0, None);
         assert_eq!(tail.poll().unwrap(), vec![record(1)]);
         let stalled = tail.offset();
         assert!(tail.poll().unwrap().is_empty());
@@ -372,11 +444,53 @@ mod tests {
     }
 
     #[test]
+    fn non_rising_epochs_are_corruption_for_replay_and_tail() {
+        let dir = scratch("log-epochs");
+        let path = dir.join("epochs.log");
+        let log = EpochLog::open_append(&path).unwrap();
+        log.append(&record(1)).unwrap();
+        let mut tail = TailReader::new(&path, 0, None);
+        assert_eq!(tail.poll().unwrap(), vec![record(1)]);
+        let second = std::fs::metadata(&path).unwrap().len();
+        // A second record claiming epoch 1 again, as an append after a
+        // failed one would have written it.
+        log.append(&record(1)).unwrap();
+        for err in [replay(&path).unwrap_err(), tail.poll().unwrap_err()] {
+            match err {
+                StoreError::Corrupt { offset, reason, .. } => {
+                    assert_eq!(offset, second);
+                    assert!(reason.contains("epoch 1"), "{reason}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_append_poisons_the_log() {
+        // `/dev/full` fails every write with ENOSPC and every truncation
+        // with EINVAL.
+        let log = EpochLog::open_append(Path::new("/dev/full")).unwrap();
+        match log.append(&record(1)).unwrap_err() {
+            StoreError::Io { source, .. } => assert_eq!(source.raw_os_error(), Some(28)),
+            other => panic!("unexpected error {other}"),
+        }
+        match log.append(&record(1)).unwrap_err() {
+            StoreError::Io { source, .. } => {
+                assert!(source.to_string().contains("poisoned"), "{source}");
+            }
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
     fn missing_log_is_empty_not_an_error() {
         let dir = scratch("log-missing");
         let path = dir.join("nope.log");
         assert!(replay(&path).unwrap().records.is_empty());
-        assert!(TailReader::new(&path, 0).poll().unwrap().is_empty());
+        assert!(TailReader::new(&path, 0, None).poll().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
